@@ -88,8 +88,6 @@ Row TimeShape(const std::string& name, int threads, double min_seconds,
   return row;
 }
 
-#if defined(GSO_ORCHESTRATOR_HAS_WARM_SOLVE)
-
 // Bit-level equality of the semantic Solution fields — the same contract
 // the warm-solve property test asserts. A bench that times an incremental
 // solver which drifted from the cold solver would be measuring a bug, so
@@ -256,8 +254,6 @@ void RunDeltaShapes(const Shape& shape, double min_seconds,
   }
 }
 
-#endif  // GSO_ORCHESTRATOR_HAS_WARM_SOLVE
-
 // One solve per shape into an obs registry: the control-plane solve-trace
 // series, indexed by shape position on the (virtual) time axis since the
 // bench has no event loop.
@@ -356,16 +352,10 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   for (const auto& shape : shapes) {
     for (int threads : {1, 2, 4, 8}) {
-#if defined(GSO_ORCHESTRATOR_HAS_OPTIONS)
       DpMckpSolver solver;
       OrchestratorOptions options;
       options.step1_threads = threads;
       Orchestrator orchestrator(&solver, options);
-#else
-      if (threads != 1) continue;  // seed API: single-threaded only
-      DpMckpSolver solver;
-      Orchestrator orchestrator(&solver);
-#endif
       rows.push_back(TimeShape(shape.name, threads, min_seconds,
                                [&] { return orchestrator.Solve(SolveRequest::Cold(shape.problem)); }));
       std::printf("%-28s threads=%d  %10.0f ns/solve  (%d solves, qoe %.1f)\n",
@@ -374,7 +364,6 @@ int main(int argc, char** argv) {
     }
   }
 
-#if defined(GSO_ORCHESTRATOR_HAS_WARM_SOLVE)
   // Warm-start deltas on the two shapes whose cold solves dominate a real
   // deployment: the largest mesh and the webinar.
   for (const auto& shape : shapes) {
@@ -387,7 +376,6 @@ int main(int argc, char** argv) {
                   rows[i].solves, rows[i].total_qoe);
     }
   }
-#endif
 
   std::string json = "{\n  \"label\": \"" + label +
                      "\",\n  \"unit\": \"ns/solve\",\n  \"host_cpus\": " +

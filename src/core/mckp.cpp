@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -9,38 +10,177 @@ namespace gso::core {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-constexpr int64_t kInfWeight = std::numeric_limits<int64_t>::max() / 2;
+
+// "Unreachable" cell value per width. Finite cells never exceed cap_eff,
+// which stays below it, and kInfCell + cap_eff cannot overflow, so an
+// unreachable base always fails the capacity test.
+template <typename Cell>
+constexpr Cell kInfCell = sizeof(Cell) == sizeof(int32_t)
+                              ? Cell{1} << 30
+                              : std::numeric_limits<Cell>::max() / 2;
+
+// Dominance pruning. Eligible items sorted by (value desc, weight asc,
+// index asc) survive only while strictly lighter than everything that
+// sorts before them: the survivors form the staircase of per-value
+// minimum weights. A pruned item can never be the DP's recorded
+// first-minimum choice at any state on the backtracked optimal path, so
+// the solve result is identical to the unpruned instance. Sets keep[j] for
+// the survivors; returns the largest quantized value among them.
+int64_t PruneClass(const MckpClass& cls, const int64_t* vq, int64_t capacity,
+                   uint8_t* keep, std::vector<int16_t>* order) {
+  order->clear();
+  for (size_t j = 0; j < cls.items.size(); ++j) {
+    const auto& item = cls.items[j];
+    keep[j] = 0;
+    if (item.weight < 0 || item.weight > capacity || item.value < 0) {
+      continue;  // not eligible
+    }
+    order->push_back(static_cast<int16_t>(j));
+  }
+  std::sort(order->begin(), order->end(), [&](int16_t a, int16_t b) {
+    if (vq[a] != vq[b]) return vq[a] > vq[b];
+    const int64_t wa = cls.items[static_cast<size_t>(a)].weight;
+    const int64_t wb = cls.items[static_cast<size_t>(b)].weight;
+    if (wa != wb) return wa < wb;
+    return a < b;
+  });
+  int64_t min_weight = std::numeric_limits<int64_t>::max();
+  int64_t max_vq = 0;
+  for (const int16_t j : *order) {
+    const int64_t w = cls.items[static_cast<size_t>(j)].weight;
+    if (w < min_weight) {
+      keep[j] = 1;
+      min_weight = w;
+      max_vq = std::max(max_vq, vq[j]);
+    }
+  }
+  return max_vq;
+}
+
+// Relaxes item `item` (weight `weight`) over n cells: dst[i] and row[i]
+// are the target cell and its choice entry, src[i] the cell one item-value
+// below. Branchless, so the loop vectorizes; fixed-size blocks give GCC a
+// constant trip count to vectorize at -O2 as well as -O3.
+template <typename Cell>
+void RelaxItem(const Cell* __restrict src, Cell* __restrict dst,
+               int16_t* __restrict row, int64_t n, Cell weight, Cell cap,
+               int16_t item) {
+  constexpr int64_t kBlock = 16;
+  int64_t i = 0;
+  for (; i + kBlock <= n; i += kBlock) {
+    for (int64_t l = 0; l < kBlock; ++l) {
+      const Cell cand = src[i + l] + weight;
+      const Cell cur = dst[i + l];
+      const bool take = (cand <= cap) & (cand < cur);
+      dst[i + l] = take ? cand : cur;
+      row[i + l] = take ? item : row[i + l];
+    }
+  }
+  // The same body for the last n % kBlock cells. (A shared lambda would
+  // drop the __restrict guarantees once inlined, and with them the
+  // vectorization at -O2.)
+  for (; i < n; ++i) {
+    const Cell cand = src[i] + weight;
+    const Cell cur = dst[i];
+    const bool take = (cand <= cap) & (cand < cur);
+    dst[i] = take ? cand : cur;
+    row[i] = take ? item : row[i];
+  }
+}
+
+// Runs every class pass on `Cell`-wide tables `dp`/`next` (cells up to
+// `cells`, row stride `width` in ws->choices). `cap` is cap_eff. Returns the
+// best quantized value reachable within it, or -1 when infeasible.
+template <typename Cell>
+int64_t RunPasses(std::span<const MckpClass> classes, int64_t capacity,
+                  Cell cap, int64_t cells, size_t width, std::vector<Cell>& dp,
+                  std::vector<Cell>& next, MckpWorkspace* ws) {
+  constexpr Cell kInf = kInfCell<Cell>;
+  if (dp.size() < width) dp.resize(width);
+  if (next.size() < width) next.resize(width);
+  std::fill(dp.begin(), dp.begin() + static_cast<ptrdiff_t>(width), kInf);
+  std::fill(next.begin(), next.begin() + static_cast<ptrdiff_t>(width), kInf);
+  dp[0] = 0;
+
+  // reach: highest value cell with a finite dp entry (-1 while none).
+  // wm_*: high-water marks — every cell above them is kInf, so stale
+  // buffer contents beyond the current pass are never observed.
+  int64_t reach = 0;
+  int64_t wm_dp = 0;
+  int64_t wm_next = -1;
+
+  for (size_t k = 0; k < classes.size(); ++k) {
+    const auto& cls = classes[k];
+    GSO_CHECK(cls.items.size() <
+              static_cast<size_t>(std::numeric_limits<int16_t>::max()));
+    const int64_t* vq = ws->vq.data() + ws->vq_offset[k];
+    uint8_t* keep = ws->keep.data() + ws->vq_offset[k];
+    const int64_t max_vq = PruneClass(cls, vq, capacity, keep, &ws->order);
+
+    // This pass can only populate cells up to reach + max_vq.
+    const int64_t row_end = std::min(cells, reach + max_vq);
+    // Start from the skip branch (or unreachable when the class is
+    // mandatory: every state must then include an item of this class).
+    if (cls.mandatory) {
+      std::fill(next.begin(),
+                next.begin() + static_cast<ptrdiff_t>(
+                                   std::max(row_end, wm_next) + 1),
+                kInf);
+    } else {
+      std::copy(dp.begin(), dp.begin() + static_cast<ptrdiff_t>(row_end + 1),
+                next.begin());
+      if (wm_next > row_end) {
+        std::fill(next.begin() + static_cast<ptrdiff_t>(row_end + 1),
+                  next.begin() + static_cast<ptrdiff_t>(wm_next + 1), kInf);
+      }
+    }
+    wm_next = row_end;
+    int16_t* row = ws->choices.data() + k * width;
+    std::fill(row, row + row_end + 1, static_cast<int16_t>(-1));
+
+    for (size_t j = 0; j < cls.items.size(); ++j) {
+      if (!keep[j] || vq[j] > row_end) continue;
+      RelaxItem(dp.data(), next.data() + vq[j], row + vq[j],
+                row_end - vq[j] + 1, static_cast<Cell>(cls.items[j].weight),
+                cap, static_cast<int16_t>(j));
+    }
+    // The highest cell the pass improved, if above the skip branch's reach.
+    int64_t reach_new = cls.mandatory ? -1 : reach;
+    for (int64_t v = row_end; v > reach_new; --v) {
+      if (row[v] >= 0) {
+        reach_new = v;
+        break;
+      }
+    }
+    dp.swap(next);
+    std::swap(wm_dp, wm_next);
+    reach = reach_new;
+    // A mandatory class that admits no feasible item leaves every state
+    // unreachable, and so does every later pass.
+    if (reach < 0) return -1;
+  }
+
+  // Best achievable quantized value within capacity.
+  for (int64_t v = reach; v >= 0; --v) {
+    if (dp[static_cast<size_t>(v)] <= cap) return v;
+  }
+  return -1;
+}
 
 }  // namespace
 
-MckpResult DpMckpSolver::Solve(const std::vector<MckpClass>& classes,
-                               int64_t capacity) const {
-  MckpWorkspace workspace;
-  return Solve(classes, capacity, &workspace);
-}
-
-MckpResult DpMckpSolver::Solve(const std::vector<MckpClass>& classes,
-                               int64_t capacity,
-                               MckpWorkspace* ws) const {
+MckpResult MckpSolver::Solve(std::span<const MckpClass> classes,
+                             int64_t capacity,
+                             MckpWorkspace* workspace) const {
   MckpResult result;
-  Solve(classes.data(), classes.size(), capacity, ws, &result);
+  MckpWorkspace scratch;
+  Solve(classes, capacity, workspace != nullptr ? workspace : &scratch,
+        &result);
   return result;
 }
 
-void DpMckpSolver::Solve(const MckpClass* classes_ptr, size_t num_classes,
-                         int64_t capacity, MckpWorkspace* ws,
-                         MckpResult* result_ptr) const {
-  // A thin span view keeps the original body unchanged below.
-  struct ClassSpan {
-    const MckpClass* data;
-    size_t count;
-    const MckpClass* begin() const { return data; }
-    const MckpClass* end() const { return data + count; }
-    size_t size() const { return count; }
-    bool empty() const { return count == 0; }
-    const MckpClass& operator[](size_t i) const { return data[i]; }
-  };
-  const ClassSpan classes{classes_ptr, num_classes};
+void DpMckpSolver::Solve(std::span<const MckpClass> classes, int64_t capacity,
+                         MckpWorkspace* ws, MckpResult* result_ptr) const {
   MckpResult& result = *result_ptr;
   result.choice.assign(classes.size(), -1);  // reuses capacity when warm
   result.total_value = 0.0;
@@ -49,14 +189,26 @@ void DpMckpSolver::Solve(const MckpClass* classes_ptr, size_t num_classes,
   if (classes.empty()) return;
 
   // Value grid: each item's value is floored to multiples of `quantum`.
+  // cap_eff bounds the weight of every partial selection: the capacity, or
+  // the sum of each class's heaviest eligible item when that is smaller.
   double value_sum = 0.0;
   size_t total_items = 0;
+  int64_t weight_sum = 0;  // saturates at capacity
   for (const auto& cls : classes) {
     double best = 0.0;
-    for (const auto& item : cls.items) best = std::max(best, item.value);
+    int64_t heaviest = 0;
+    for (const auto& item : cls.items) {
+      best = std::max(best, item.value);
+      if (item.weight >= 0 && item.weight <= capacity && item.value >= 0) {
+        heaviest = std::max(heaviest, item.weight);
+      }
+    }
     value_sum += best;
     total_items += cls.items.size();
+    weight_sum = weight_sum > capacity - heaviest ? capacity
+                                                  : weight_sum + heaviest;
   }
+  const int64_t cap_eff = capacity < 0 ? -1 : weight_sum;
   double quantum = value_quantum_;
   if (value_sum / quantum > static_cast<double>(max_cells_)) {
     quantum = value_sum / static_cast<double>(max_cells_);
@@ -64,19 +216,6 @@ void DpMckpSolver::Solve(const MckpClass* classes_ptr, size_t num_classes,
   const int64_t cells =
       std::max<int64_t>(1, static_cast<int64_t>(value_sum / quantum));
   const size_t width = static_cast<size_t>(cells) + 1;
-
-  // Acquire grow-only scratch. dp[v]: minimum weight achieving quantized
-  // value exactly v; `next` double-buffers the per-class pass; choices row
-  // k holds the item picked in class k on the best path through each state.
-  auto& dp = ws->dp;
-  auto& next = ws->next;
-  if (dp.size() < width) dp.resize(width);
-  if (next.size() < width) next.resize(width);
-  std::fill(dp.begin(), dp.begin() + static_cast<ptrdiff_t>(width),
-            kInfWeight);
-  std::fill(next.begin(), next.begin() + static_cast<ptrdiff_t>(width),
-            kInfWeight);
-  dp[0] = 0;
   if (ws->choices.size() < classes.size() * width) {
     ws->choices.resize(classes.size() * width);
   }
@@ -98,110 +237,15 @@ void DpMckpSolver::Solve(const MckpClass* classes_ptr, size_t num_classes,
     ws->vq_offset[classes.size()] = offset;
   }
 
-  // reach: highest value cell with a finite dp entry (-1 while none).
-  // wm_*: high-water marks — every cell above them is kInfWeight, so stale
-  // buffer contents beyond the current pass are never observed.
-  int64_t reach = 0;
-  int64_t wm_dp = 0;
-  int64_t wm_next = -1;
-
-  for (size_t k = 0; k < classes.size(); ++k) {
-    const auto& cls = classes[k];
-    GSO_CHECK(cls.items.size() <
-              static_cast<size_t>(std::numeric_limits<int16_t>::max()));
-    const int64_t* vq = ws->vq.data() + ws->vq_offset[k];
-    uint8_t* keep = ws->keep.data() + ws->vq_offset[k];
-
-    // Dominance pruning. Eligible items sorted by (value desc, weight asc,
-    // index asc) survive only while strictly lighter than everything that
-    // sorts before them: the survivors form the staircase of per-value
-    // minimum weights. A pruned item can never be the DP's recorded
-    // first-minimum choice at any state on the backtracked optimal path,
-    // so the solve result is identical to the unpruned instance.
-    auto& order = ws->order;
-    order.clear();
-    for (size_t j = 0; j < cls.items.size(); ++j) {
-      const auto& item = cls.items[j];
-      keep[j] = 0;
-      if (item.weight < 0 || item.weight > capacity || item.value < 0) {
-        continue;  // same eligibility filter as the DP loop below
-      }
-      order.push_back(static_cast<int16_t>(j));
-    }
-    std::sort(order.begin(), order.end(), [&](int16_t a, int16_t b) {
-      if (vq[a] != vq[b]) return vq[a] > vq[b];
-      const int64_t wa = cls.items[static_cast<size_t>(a)].weight;
-      const int64_t wb = cls.items[static_cast<size_t>(b)].weight;
-      if (wa != wb) return wa < wb;
-      return a < b;
-    });
-    int64_t min_weight = std::numeric_limits<int64_t>::max();
-    int64_t max_vq = 0;
-    for (const int16_t j : order) {
-      const int64_t w = cls.items[static_cast<size_t>(j)].weight;
-      if (w < min_weight) {
-        keep[j] = 1;
-        min_weight = w;
-        max_vq = std::max(max_vq, vq[j]);
-      }
-    }
-
-    // This pass can only populate cells up to reach + max_vq.
-    const int64_t row_end = std::min(cells, reach + max_vq);
-    // Start from the skip branch (or unreachable when the class is
-    // mandatory: every state must then include an item of this class).
-    if (cls.mandatory) {
-      std::fill(next.begin(),
-                next.begin() + static_cast<ptrdiff_t>(
-                                   std::max(row_end, wm_next) + 1),
-                kInfWeight);
-    } else {
-      std::copy(dp.begin(), dp.begin() + static_cast<ptrdiff_t>(row_end + 1),
-                next.begin());
-      if (wm_next > row_end) {
-        std::fill(next.begin() + static_cast<ptrdiff_t>(row_end + 1),
-                  next.begin() + static_cast<ptrdiff_t>(wm_next + 1),
-                  kInfWeight);
-      }
-    }
-    wm_next = row_end;
-    int16_t* row = ws->choices.data() + k * width;
-    std::fill(row, row + row_end + 1, static_cast<int16_t>(-1));
-
-    int64_t reach_new = cls.mandatory ? -1 : reach;
-    for (size_t j = 0; j < cls.items.size(); ++j) {
-      if (!keep[j]) continue;
-      const int64_t weight = cls.items[j].weight;
-      const int64_t item_vq = vq[j];
-      for (int64_t v = row_end; v >= item_vq; --v) {
-        const int64_t base = dp[static_cast<size_t>(v - item_vq)];
-        if (base >= kInfWeight) continue;
-        const int64_t cand = base + weight;
-        if (cand <= capacity && cand < next[static_cast<size_t>(v)]) {
-          next[static_cast<size_t>(v)] = cand;
-          row[v] = static_cast<int16_t>(j);
-          if (v > reach_new) reach_new = v;
-        }
-      }
-    }
-    dp.swap(next);
-    std::swap(wm_dp, wm_next);
-    reach = reach_new;
-    if (reach < 0) {
-      // A mandatory class admits no feasible item: every later pass would
-      // stay unreachable, so the reference loop also ends up infeasible.
-      result.feasible = false;
-      return;
-    }
-  }
-
-  // Best achievable quantized value within capacity.
-  int64_t best_v = -1;
-  for (int64_t v = reach; v >= 0; --v) {
-    if (dp[static_cast<size_t>(v)] <= capacity) {
-      best_v = v;
-      break;
-    }
+  int64_t best_v;
+  if (cap_eff < kInfCell<int32_t>) {
+    best_v = RunPasses<int32_t>(classes, capacity,
+                                static_cast<int32_t>(cap_eff), cells, width,
+                                ws->dp32, ws->next32, ws);
+  } else {
+    GSO_CHECK_LT(cap_eff, kInfCell<int64_t>);
+    best_v = RunPasses<int64_t>(classes, capacity, cap_eff, cells, width,
+                                ws->dp64, ws->next64, ws);
   }
   if (best_v < 0) {
     result.feasible = false;
@@ -221,11 +265,11 @@ void DpMckpSolver::Solve(const MckpClass* classes_ptr, size_t num_classes,
       GSO_CHECK_GE(v, 0);
     }
   }
-  return;
 }
 
-MckpResult ExhaustiveMckpSolver::Solve(const std::vector<MckpClass>& classes,
-                                       int64_t capacity) const {
+void ExhaustiveMckpSolver::Solve(std::span<const MckpClass> classes,
+                                 int64_t capacity, MckpWorkspace* /*workspace*/,
+                                 MckpResult* result) const {
   visits_ = 0;
   MckpResult best;
   best.choice.assign(classes.size(), -1);
@@ -264,7 +308,7 @@ MckpResult ExhaustiveMckpSolver::Solve(const std::vector<MckpClass>& classes,
     best.total_value = 0.0;
     best.feasible = false;
   }
-  return best;
+  *result = std::move(best);
 }
 
 }  // namespace gso::core

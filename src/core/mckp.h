@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace gso::core {
@@ -42,8 +43,12 @@ struct MckpResult {
 // A workspace may be reused freely across solvers, capacities and problem
 // shapes; buffers only ever grow.
 struct MckpWorkspace {
-  std::vector<int64_t> dp;        // dp[v]: min weight at quantized value v
-  std::vector<int64_t> next;      // double buffer for the class pass
+  // dp[v]: min weight at quantized value v; `next` double-buffers the class
+  // pass. One pair per cell width (see DpMckpSolver); a solve uses one.
+  std::vector<int32_t> dp32;
+  std::vector<int32_t> next32;
+  std::vector<int64_t> dp64;
+  std::vector<int64_t> next64;
   std::vector<int16_t> choices;   // per class: item on the best path, row-major
   std::vector<int64_t> vq;        // per item: precomputed quantized value
   std::vector<std::size_t> vq_offset;  // per class: offset of its items in vq
@@ -54,26 +59,18 @@ struct MckpWorkspace {
 class MckpSolver {
  public:
   virtual ~MckpSolver() = default;
-  virtual MckpResult Solve(const std::vector<MckpClass>& classes,
-                           int64_t capacity) const = 0;
-  // Workspace-aware entry point; solvers that keep no scratch (e.g. the
-  // exhaustive baseline) ignore the workspace.
-  virtual MckpResult Solve(const std::vector<MckpClass>& classes,
-                           int64_t capacity, MckpWorkspace* workspace) const {
-    (void)workspace;
-    return Solve(classes, capacity);
-  }
-  // Hot-path entry: pointer+count input (lets callers keep a grow-only
-  // class array larger than the instance) and an out-param result whose
-  // buffers are reused across calls. DpMckpSolver implements this with
-  // zero steady-state allocations; the default shims through the
-  // allocating overloads for baseline solvers.
-  virtual void Solve(const MckpClass* classes, size_t num_classes,
-                     int64_t capacity, MckpWorkspace* workspace,
-                     MckpResult* result) const {
-    const std::vector<MckpClass> copy(classes, classes + num_classes);
-    *result = Solve(copy, capacity, workspace);
-  }
+
+  // Solves `classes` under `capacity` into `*result`, reusing its buffers.
+  // `workspace` is scratch the solver may keep across calls (DpMckpSolver
+  // then makes zero steady-state allocations); solvers that keep no
+  // scratch, such as the exhaustive baseline, ignore it.
+  virtual void Solve(std::span<const MckpClass> classes, int64_t capacity,
+                     MckpWorkspace* workspace, MckpResult* result) const = 0;
+
+  // Convenience form for tests and benches: returns the result by value and
+  // uses a throwaway workspace when none is given.
+  MckpResult Solve(std::span<const MckpClass> classes, int64_t capacity,
+                   MckpWorkspace* workspace = nullptr) const;
 };
 
 // Pseudo-polynomial DP over the *value* dimension: dp[v] = minimum weight
@@ -91,19 +88,31 @@ class MckpSolver {
 // matching the DP's first-minimum tie-break). Pruned items can never
 // appear in the returned solution, so the result — choice vector included —
 // is identical to solving the unpruned instance; the DP inner loops just
-// run over strictly fewer items. Each class pass is further bounded by the
-// highest reachable value so far, which skips provably unreachable cells.
+// run over strictly fewer items. Each class pass is bounded by the highest
+// reachable value so far (`reach`), which skips provably unreachable cells.
+//
+// Cell width: every partial selection weighs at most
+// cap_eff = min(capacity, sum over classes of the heaviest eligible item),
+// so a cell fits the capacity iff it is <= cap_eff. When cap_eff < 2^30 the
+// table uses int32_t cells with 2^30 as "unreachable"; otherwise int64_t
+// cells. The width only changes speed, never the result.
+//
+// Class pass: for each kept item j (ascending) and each cell v (ascending),
+//   cand = dp[v - vq_j] + w_j;  take = cand <= cap_eff && cand < next[v];
+//   next[v] = take ? cand : next[v];  row[v] = take ? j : row[v].
+// The pass has no branches (an unreachable base fails the capacity test on
+// its own), so GCC vectorizes it at the baseline x86-64 ISA for 32-bit
+// cells; the strict `<` keeps the first minimum, as the backtrack expects.
+// `reach` is updated after the pass, from the highest cell the class row
+// recorded a choice for.
 class DpMckpSolver : public MckpSolver {
  public:
   explicit DpMckpSolver(double value_quantum = 1.0,
                         int64_t max_cells = 1 << 16)
       : value_quantum_(value_quantum), max_cells_(max_cells) {}
 
-  MckpResult Solve(const std::vector<MckpClass>& classes,
-                   int64_t capacity) const override;
-  MckpResult Solve(const std::vector<MckpClass>& classes, int64_t capacity,
-                   MckpWorkspace* workspace) const override;
-  void Solve(const MckpClass* classes, size_t num_classes, int64_t capacity,
+  using MckpSolver::Solve;
+  void Solve(std::span<const MckpClass> classes, int64_t capacity,
              MckpWorkspace* workspace, MckpResult* result) const override;
 
  private:
@@ -117,8 +126,8 @@ class DpMckpSolver : public MckpSolver {
 class ExhaustiveMckpSolver : public MckpSolver {
  public:
   using MckpSolver::Solve;
-  MckpResult Solve(const std::vector<MckpClass>& classes,
-                   int64_t capacity) const override;
+  void Solve(std::span<const MckpClass> classes, int64_t capacity,
+             MckpWorkspace* workspace, MckpResult* result) const override;
 
   // Combinations visited by the last Solve call (for scaling benches).
   int64_t last_visit_count() const { return visits_; }

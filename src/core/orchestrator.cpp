@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -39,7 +40,7 @@ struct MergeSlot {
 // solves it in its own buffers, so the parallel fan-out shares nothing
 // mutable and every buffer is reused across solves. Grow-only: classes are
 // never shrunk (shrinking would free the per-class item buffers), the live
-// prefix is passed to the solver as (pointer, count).
+// prefix is passed to the solver as a span.
 struct Step1Scratch {
   std::vector<MckpClass> classes;
   std::vector<std::vector<int>> class_options;  // indices into active[source]
@@ -340,8 +341,8 @@ void Orchestrator::SolveSubscriberMckp(const CompiledProblem& compiled,
   const int64_t capacity = downlink.IsFinite()
                                ? downlink.bps()
                                : std::numeric_limits<int64_t>::max() / 4;
-  step1_solver_->Solve(scratch.classes.data(), n, capacity, &scratch.mckp,
-                       &scratch.result);
+  step1_solver_->Solve(std::span(scratch.classes.data(), n), capacity,
+                       &scratch.mckp, &scratch.result);
   ++scratch.mckp_solves;
 
   auto& requests = ws.requests[static_cast<size_t>(subscriber)];
@@ -606,7 +607,7 @@ const Solution& Orchestrator::RunSolve(const CompiledProblem& compiled,
 
       if (floor_ok && floor_total <= uplink) {
         // Fix by the small mandatory knapsack over B_u (Eq. 15-16).
-        fix_solver_.Solve(ws.fix_classes.data(), streams.size(),
+        fix_solver_.Solve(std::span(ws.fix_classes.data(), streams.size()),
                           uplink.bps(), &ws.fix_mckp, &ws.fix_result);
         const MckpResult& fix = ws.fix_result;
         ++stats.knapsack_solves;

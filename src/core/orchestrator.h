@@ -43,25 +43,11 @@
 #include "core/mckp.h"
 #include "core/types.h"
 
-// Feature-test macro for code that must also build against the pre-options
-// orchestrator API (e.g. the scaling bench comparing seed checkouts).
-#define GSO_ORCHESTRATOR_HAS_OPTIONS 1
-// Feature-test macro for the incremental re-solve path (SolveRequest::Warm,
-// ResetWarmState) and the warm/parallel SolveStats extensions.
-#define GSO_ORCHESTRATOR_HAS_WARM_SOLVE 1
-// Feature-test macro for the unified Solve(SolveRequest) entry point that
-// replaced the Solve / SolveCompiled / SolveWarm triple.
-#define GSO_ORCHESTRATOR_HAS_SOLVE_REQUEST 1
-
 namespace gso {
 class ThreadPool;
 }  // namespace gso
 
 namespace gso::core {
-
-// Solve traces now travel on the returned Solution (`Solution::stats`);
-// the alias keeps older call sites compiling.
-using OrchestratorStats = SolveStats;
 
 struct OrchestratorOptions {
   // Number of threads solving the Step-1 per-subscriber knapsacks. 1 keeps
@@ -173,7 +159,8 @@ class Orchestrator {
 // Validates an OrchestrationProblem / Solution pair: every budget,
 // codec-capability and subscription constraint holds. Returns an empty
 // string when valid, else a description of the first violation. Used by
-// property tests and (in debug builds) by the conference controller.
+// the property and equivalence tests and by the benches that check their
+// solves; nothing in the running system calls it.
 std::string ValidateSolution(const OrchestrationProblem& problem,
                              const Solution& solution);
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 
 namespace gso::core {
@@ -16,9 +18,12 @@ MckpClass MakeClass(std::vector<std::pair<int64_t, double>> items,
   return cls;
 }
 
+// The convenience Solve takes a span; braced instances need a named type.
+using Classes = std::vector<MckpClass>;
+
 TEST(Mckp, EmptyInstance) {
   DpMckpSolver dp;
-  const auto r = dp.Solve({}, 1'000'000);
+  const auto r = dp.Solve(Classes{}, 1'000'000);
   EXPECT_TRUE(r.feasible);
   EXPECT_EQ(r.total_value, 0.0);
   EXPECT_TRUE(r.choice.empty());
@@ -27,7 +32,7 @@ TEST(Mckp, EmptyInstance) {
 TEST(Mckp, SingleClassPicksBestFit) {
   DpMckpSolver dp;
   const auto r = dp.Solve(
-      {MakeClass({{1'500'000, 1200}, {1'000'000, 750}, {300'000, 300}})},
+      Classes{MakeClass({{1'500'000, 1200}, {1'000'000, 750}, {300'000, 300}})},
       1'100'000);
   ASSERT_EQ(r.choice.size(), 1u);
   EXPECT_EQ(r.choice[0], 1);  // the 1 Mbps option
@@ -36,7 +41,7 @@ TEST(Mckp, SingleClassPicksBestFit) {
 
 TEST(Mckp, SkipsClassWhenNothingFits) {
   DpMckpSolver dp;
-  const auto r = dp.Solve({MakeClass({{2'000'000, 100}})}, 1'000'000);
+  const auto r = dp.Solve(Classes{MakeClass({{2'000'000, 100}})}, 1'000'000);
   EXPECT_TRUE(r.feasible);
   EXPECT_EQ(r.choice[0], -1);
   EXPECT_EQ(r.total_value, 0.0);
@@ -45,7 +50,7 @@ TEST(Mckp, SkipsClassWhenNothingFits) {
 TEST(Mckp, MandatoryClassInfeasibleWhenNothingFits) {
   DpMckpSolver dp;
   const auto r =
-      dp.Solve({MakeClass({{2'000'000, 100}}, /*mandatory=*/true)},
+      dp.Solve(Classes{MakeClass({{2'000'000, 100}}, /*mandatory=*/true)},
                1'000'000);
   EXPECT_FALSE(r.feasible);
 }
@@ -55,8 +60,8 @@ TEST(Mckp, MandatoryClassForcedChoice) {
   // Mandatory class must pick even though skipping would leave room for
   // the optional class's bigger value.
   const auto r = dp.Solve(
-      {MakeClass({{900'000, 10}}, /*mandatory=*/true),
-       MakeClass({{800'000, 500}, {100'000, 50}})},
+      Classes{MakeClass({{900'000, 10}}, /*mandatory=*/true),
+              MakeClass({{800'000, 500}, {100'000, 50}})},
       1'000'000);
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.choice[0], 0);
@@ -66,19 +71,19 @@ TEST(Mckp, MandatoryClassForcedChoice) {
 
 TEST(Mckp, ZeroCapacity) {
   DpMckpSolver dp;
-  const auto r = dp.Solve({MakeClass({{100, 10}})}, 0);
+  const auto r = dp.Solve(Classes{MakeClass({{100, 10}})}, 0);
   EXPECT_TRUE(r.feasible);
   EXPECT_EQ(r.choice[0], -1);
   const auto r2 =
-      dp.Solve({MakeClass({{100, 10}}, /*mandatory=*/true)}, 0);
+      dp.Solve(Classes{MakeClass({{100, 10}}, /*mandatory=*/true)}, 0);
   EXPECT_FALSE(r2.feasible);
 }
 
 TEST(Mckp, ExhaustiveMatchesKnownOptimum) {
   ExhaustiveMckpSolver ex;
   const auto r = ex.Solve(
-      {MakeClass({{800'000, 700}, {600'000, 530}, {100'000, 100}}),
-       MakeClass({{1'500'000, 1200}, {300'000, 300}})},
+      Classes{MakeClass({{800'000, 700}, {600'000, 530}, {100'000, 100}}),
+              MakeClass({{1'500'000, 1200}, {300'000, 300}})},
       1'400'000);
   EXPECT_TRUE(r.feasible);
   // Optimum: 800k(700) + 300k(300) = 1000 at weight 1.1M.
@@ -146,7 +151,8 @@ TEST(Mckp, DpFindsKnifeEdgeFit) {
   // Exact-capacity fits must be found (weights are never quantized).
   DpMckpSolver dp;
   const auto r = dp.Solve(
-      {MakeClass({{400'001, 360}}), MakeClass({{299'999, 300}})}, 700'000);
+      Classes{MakeClass({{400'001, 360}}), MakeClass({{299'999, 300}})},
+      700'000);
   EXPECT_EQ(r.total_value, 660);
   EXPECT_EQ(r.total_weight, 700'000);
 }
@@ -231,7 +237,7 @@ TEST(Mckp, WorkspaceShrinksAndGrowsAcrossSolves) {
 
 TEST(Mckp, ExhaustiveCountsVisits) {
   ExhaustiveMckpSolver ex;
-  ex.Solve({MakeClass({{1, 1}, {2, 2}}), MakeClass({{1, 1}})}, 100);
+  ex.Solve(Classes{MakeClass({{1, 1}, {2, 2}}), MakeClass({{1, 1}})}, 100);
   // (2 items + none) x (1 item + none) = 6 leaves.
   EXPECT_EQ(ex.last_visit_count(), 6);
 }

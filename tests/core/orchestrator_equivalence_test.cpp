@@ -504,5 +504,158 @@ TEST(OrchestratorEquivalence, PruningPreservesDpVsExhaustiveAgreement) {
   }
 }
 
+// Solves one instance with the production DP (hot-path entry point,
+// reused workspace and result) and with the frozen reference; everything
+// observable must match bit for bit.
+void ExpectDpMatchesReference(const DpMckpSolver& dp,
+                              const reference::RefDpSolver& ref,
+                              const std::vector<MckpClass>& classes,
+                              int64_t capacity, MckpWorkspace* workspace,
+                              MckpResult* result) {
+  dp.Solve(classes, capacity, workspace, result);
+  const MckpResult expected = ref.Solve(classes, capacity);
+  EXPECT_EQ(result->feasible, expected.feasible);
+  EXPECT_EQ(result->choice, expected.choice);
+  EXPECT_EQ(result->total_value, expected.total_value);
+  EXPECT_EQ(result->total_weight, expected.total_weight);
+}
+
+// Sum over classes of the heaviest item that fits `capacity`: the bound
+// that picks the DP's cell width (int32_t below 2^30, int64_t otherwise).
+int64_t EligibleWeightSum(const std::vector<MckpClass>& classes,
+                          int64_t capacity) {
+  int64_t sum = 0;
+  for (const auto& cls : classes) {
+    int64_t heaviest = 0;
+    for (const auto& item : cls.items) {
+      if (item.weight >= 0 && item.weight <= capacity && item.value >= 0) {
+        heaviest = std::max(heaviest, item.weight);
+      }
+    }
+    sum += heaviest;
+  }
+  return sum;
+}
+
+// The shape the DP kernel is tuned for: a mesh subscriber's knapsack, one
+// FineLadder(5) class per watched publisher, priority-weighted so the value
+// grid is capped at its full 65,536 cells.
+TEST(OrchestratorEquivalence, DpMatchesReferenceOnMeshShapedInstances) {
+  Rng rng(31);
+  const DpMckpSolver dp;
+  const reference::RefDpSolver ref;
+  MckpWorkspace workspace;
+  MckpResult result;
+  const auto ladder = FineLadder(5);
+  for (const int n_classes : {15, 31}) {
+    std::vector<MckpClass> classes(static_cast<size_t>(n_classes));
+    double value_sum = 0.0;
+    for (auto& cls : classes) {
+      const double priority = rng.Uniform(4, 12);
+      double best = 0.0;
+      for (const auto& option : ladder) {
+        cls.items.push_back(
+            MckpItem{option.bitrate.bps(), option.qoe * priority});
+        best = std::max(best, option.qoe * priority);
+      }
+      value_sum += best;
+    }
+    ASSERT_GT(value_sum, 65536.0) << "grid must hit the cell cap";
+    for (int64_t kbps = 800; kbps <= 8000; kbps += 600) {
+      SCOPED_TRACE(testing::Message() << n_classes << " classes, " << kbps
+                                      << " kbps");
+      ExpectDpMatchesReference(dp, ref, classes, kbps * 1000, &workspace,
+                               &result);
+    }
+  }
+}
+
+// Weights large enough to push cap_eff to 2^30 and beyond, which switches
+// the DP to int64_t cells. Capacities straddle the switch, and
+// INT64_MAX / 4 is what the orchestrator passes for an infinite downlink.
+TEST(OrchestratorEquivalence, DpMatchesReferenceOnWideInstances) {
+  constexpr int64_t kSwitch = int64_t{1} << 30;
+  const int64_t kInfiniteDownlink = std::numeric_limits<int64_t>::max() / 4;
+  Rng rng(64);
+  const DpMckpSolver dp;
+  const reference::RefDpSolver ref;
+  MckpWorkspace workspace;
+  MckpResult result;
+  // Weights at the switch itself: a cap_eff of exactly 2^30 must not run on
+  // int32_t cells, where 2^30 marks an unreachable cell.
+  const std::vector<MckpClass> edge = {
+      MckpClass{{{kSwitch, 10.0}, {kSwitch / 2, 4.0}}, false},
+      MckpClass{{{kSwitch, 20.0}, {kSwitch - 1, 15.0}}, false},
+      MckpClass{{{1, 1.0}, {kSwitch / 2, 6.0}}, true},
+  };
+  for (const int64_t capacity : {kSwitch - 1, kSwitch, kSwitch + 1}) {
+    SCOPED_TRACE(testing::Message() << "edge, capacity " << capacity);
+    ExpectDpMatchesReference(dp, ref, edge, capacity, &workspace, &result);
+  }
+  for (int trial = 0; trial < 80; ++trial) {
+    std::vector<MckpClass> classes;
+    const int n_classes = static_cast<int>(rng.UniformInt(4, 8));
+    for (int k = 0; k < n_classes; ++k) {
+      MckpClass cls;
+      cls.mandatory = rng.Bernoulli(0.15);
+      const int n_items = static_cast<int>(rng.UniformInt(1, 8));
+      for (int j = 0; j < n_items; ++j) {
+        double value = rng.Uniform(0, 1500);
+        if (rng.Bernoulli(0.3)) value = std::floor(value);
+        cls.items.push_back(
+            MckpItem{rng.UniformInt(kSwitch / 4, 2 * kSwitch), value});
+      }
+      classes.push_back(cls);
+    }
+    ASSERT_GE(EligibleWeightSum(classes, kInfiniteDownlink), kSwitch);
+    for (const int64_t capacity :
+         {kSwitch - 1, kSwitch, kSwitch + 1, 3 * kSwitch, kInfiniteDownlink}) {
+      SCOPED_TRACE(testing::Message()
+                   << "trial " << trial << ", capacity " << capacity);
+      ExpectDpMatchesReference(dp, ref, classes, capacity, &workspace,
+                               &result);
+    }
+  }
+}
+
+// Step-3 repair knapsacks: every class is mandatory and holds the ladder
+// rungs of one published resolution at or below the stream's bitrate;
+// uplinks run from below the rung floor (infeasible) to above the total.
+TEST(OrchestratorEquivalence, DpMatchesReferenceOnAllMandatoryFixShapes) {
+  Rng rng(3);
+  const DpMckpSolver dp;
+  const reference::RefDpSolver ref;
+  MckpWorkspace workspace;
+  MckpResult result;
+  const auto ladder = FineLadder(5);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<MckpClass> classes;
+    int64_t floor = 0;
+    int64_t total = 0;
+    const int n_streams = static_cast<int>(rng.UniformInt(1, 6));
+    for (int k = 0; k < n_streams; ++k) {
+      const StreamOption& current = ladder[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(ladder.size()) - 1))];
+      MckpClass cls;
+      cls.mandatory = true;
+      int64_t cheapest = current.bitrate.bps();
+      for (const auto& option : ladder) {
+        if (!(option.resolution == current.resolution)) continue;
+        if (option.bitrate > current.bitrate) continue;
+        cls.items.push_back(MckpItem{option.bitrate.bps(), option.qoe});
+        cheapest = std::min(cheapest, option.bitrate.bps());
+      }
+      floor += cheapest;
+      total += current.bitrate.bps();
+      classes.push_back(cls);
+    }
+    const int64_t capacity = rng.UniformInt(
+        std::max<int64_t>(0, floor - 200'000), total + 200'000);
+    SCOPED_TRACE(testing::Message()
+                 << "trial " << trial << ", capacity " << capacity);
+    ExpectDpMatchesReference(dp, ref, classes, capacity, &workspace, &result);
+  }
+}
+
 }  // namespace
 }  // namespace gso::core
