@@ -2,14 +2,13 @@
 //
 // Times full Orchestrator::Solve calls (ns/solve) on the canonical shapes
 // the ROADMAP tracks — symmetric meshes of 8/16/32/64 participants and the
-// 10x200 webinar — across a Step-1 thread sweep (1/2/4/8), plus warm-start
-// delta re-solves (SolveWarm) for the controller's steady-state event
-// kinds: a single bandwidth report, a subscriber join, a subscriber leave.
-// Every warm measurement is verified bit-identical against a cold solve
-// before it is timed. Results are written as JSON (with the host's CPU
-// count, since parallel speedups are meaningless without it) so successive
-// PRs can record a perf trajectory (see BENCH_controller.json at the repo
-// root and tools/perf_gate.py).
+// 10x200 webinar — as serial cold solves, plus warm-start delta re-solves
+// (SolveWarm) for the controller's steady-state event kinds: a single
+// bandwidth report, a subscriber join, a subscriber leave. Every warm
+// measurement is verified bit-identical against a cold solve before it is
+// timed. Results are written as JSON (with the host's CPU count) so
+// successive PRs can record a perf trajectory (see BENCH_controller.json
+// at the repo root and tools/perf_gate.py).
 //
 // With --trace-out=FILE it additionally dumps one observability trace per
 // shape (SolveStats work counts and per-step wall time as schema-locked
@@ -45,7 +44,7 @@ struct Shape {
 struct Row {
   std::string shape;
   std::string mode = "cold";  // "cold" or "warm_delta"
-  int threads = 1;
+  int threads = 1;  // always 1 (Step 1 is serial); kept in the JSON schema
   double ns_per_solve = 0.0;
   int solves = 0;
   double total_qoe = 0.0;  // sanity: must not change across optimizations
@@ -55,11 +54,9 @@ struct Row {
 // Repeats whole solves until `min_seconds` of wall time, three batches, and
 // keeps the fastest batch (per-solve average) to damp scheduler noise.
 template <typename SolveFn>
-Row TimeShape(const std::string& name, int threads, double min_seconds,
-              SolveFn&& solve) {
+Row TimeShape(const std::string& name, double min_seconds, SolveFn&& solve) {
   Row row;
   row.shape = name;
-  row.threads = threads;
   {
     const Solution s = solve();  // warm-up, and record invariants
     row.total_qoe = s.total_qoe;
@@ -144,7 +141,6 @@ Row TimeDeltaShape(const std::string& name, double min_seconds,
   Row row;
   row.shape = name;
   row.mode = "warm_delta";
-  row.threads = 1;
 
   DpMckpSolver cold_solver;
   const Orchestrator cold(&cold_solver);
@@ -281,8 +277,6 @@ void RecordSolveTraces(obs::MetricsRegistry* registry,
         {"control.solve.cache_hits", "count", double(stats.step1_cache_hits)},
         {"control.solve.compile_wall", "us", stats.compile_wall_us},
         {"control.solve.step1_wall", "us", stats.step1_wall_us},
-        {"control.solve.step1_parallel_wall", "us",
-         stats.step1_parallel_wall_us},
         {"control.solve.step2_wall", "us", stats.step2_wall_us},
         {"control.solve.step3_wall", "us", stats.step3_wall_us},
         {"control.solve.warm_diff_wall", "us", stats.warm_diff_wall_us},
@@ -351,17 +345,14 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   for (const auto& shape : shapes) {
-    for (int threads : {1, 2, 4, 8}) {
-      DpMckpSolver solver;
-      OrchestratorOptions options;
-      options.step1_threads = threads;
-      Orchestrator orchestrator(&solver, options);
-      rows.push_back(TimeShape(shape.name, threads, min_seconds,
-                               [&] { return orchestrator.Solve(SolveRequest::Cold(shape.problem)); }));
-      std::printf("%-28s threads=%d  %10.0f ns/solve  (%d solves, qoe %.1f)\n",
-                  rows.back().shape.c_str(), threads, rows.back().ns_per_solve,
-                  rows.back().solves, rows.back().total_qoe);
-    }
+    DpMckpSolver solver;
+    Orchestrator orchestrator(&solver);
+    rows.push_back(TimeShape(shape.name, min_seconds, [&] {
+      return orchestrator.Solve(SolveRequest::Cold(shape.problem));
+    }));
+    std::printf("%-28s %10.0f ns/solve  (%d solves, qoe %.1f)\n",
+                rows.back().shape.c_str(), rows.back().ns_per_solve,
+                rows.back().solves, rows.back().total_qoe);
   }
 
   // Warm-start deltas on the two shapes whose cold solves dominate a real
@@ -371,9 +362,9 @@ int main(int argc, char** argv) {
     const size_t first = rows.size();
     RunDeltaShapes(shape, min_seconds, &rows);
     for (size_t i = first; i < rows.size(); ++i) {
-      std::printf("%-28s threads=%d  %10.0f ns/solve  (%d solves, qoe %.1f)\n",
-                  rows[i].shape.c_str(), rows[i].threads, rows[i].ns_per_solve,
-                  rows[i].solves, rows[i].total_qoe);
+      std::printf("%-28s %10.0f ns/solve  (%d solves, qoe %.1f)\n",
+                  rows[i].shape.c_str(), rows[i].ns_per_solve, rows[i].solves,
+                  rows[i].total_qoe);
     }
   }
 

@@ -1,42 +1,33 @@
 // A small fixed-size worker pool with a blocking, allocation-free
-// parallel-for over index ranges.
+// parallel-for over an index range.
 //
-// Built for the controller's Step-1 fan-out: the per-subscriber knapsacks
-// share no mutable state, so they can be solved concurrently as long as
-// results land in deterministic slots. Two design points matter for the
-// solve hot path:
+// Used by the orchestration service: each shard drains its batched solve
+// queue across one pool, one conference solve per index. Solves differ
+// widely in cost, so indices are handed out one at a time through a single
+// atomic counter (dynamic balancing, low indices first). Every index writes
+// only its own state, so results never depend on which thread ran it.
 //
-//  * Zero per-call allocation. The original design heap-allocated a
-//    shared_ptr'd job object and a std::function per ParallelFor; at one
-//    ParallelFor per solve iteration that is measurable noise and breaks
-//    the controller's steady-state no-allocation discipline. Dispatch now
-//    goes through a non-owning trampoline (function pointer + context
-//    pointer into the caller's frame) and a single persistent job slot.
-//
-//  * Chunked, dynamically balanced partitioning. Indices are handed out in
-//    chunks of `grain` through one atomic counter — dynamic because
-//    subscriber solve costs vary widely, chunked because a grain of one
-//    index pays one cache-contended RMW per knapsack. Chunk boundaries
-//    never affect results: every index writes only its own slot, so the
-//    solve is bit-identical at any thread count and any grain.
+// Zero per-call allocation: dispatch goes through a non-owning trampoline
+// (function pointer + context pointer into the caller's frame) and a single
+// persistent job slot, not a heap-allocated job or std::function.
 //
 // Lifecycle safety without per-job ownership: the caller publishes a job
-// under the mutex (bumping the epoch), participates as worker 0, then
-// blocks until every worker has acknowledged that epoch. A worker that is
-// descheduled mid-chunk simply delays completion of the current epoch; the
+// under the mutex (bumping the epoch), drains indices itself, then blocks
+// until every worker has acknowledged that epoch. A worker that is
+// descheduled mid-index simply delays completion of the current epoch; the
 // next job cannot be published until every worker has acked the previous
-// one, so a stale worker can never touch a later job's counters. Workers
-// spin briefly before sleeping so back-to-back iterations (Step 1 of
-// consecutive reduction rounds) do not pay a futex round-trip each.
+// one, so a stale worker can never touch a later job's counter. Workers
+// spin briefly before sleeping so back-to-back jobs do not pay a futex
+// round-trip each.
 #ifndef GSO_COMMON_THREAD_POOL_H_
 #define GSO_COMMON_THREAD_POOL_H_
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace gso {
@@ -66,34 +57,21 @@ class ThreadPool {
 
   int parallelism() const { return parallelism_; }
 
-  // Invokes fn(index, worker) for every index in [0, count), spreading
-  // indices across workers in chunks of `grain`; blocks until all calls
-  // returned. `worker` is in [0, parallelism()). grain <= 0 picks a chunk
-  // size that hands each worker a few chunks for dynamic balancing.
-  // Not reentrant: one ParallelFor at a time per pool.
+  // Invokes fn(index) for every index in [0, count), spreading indices
+  // across the caller and the workers; blocks until all calls returned.
+  // The callable is borrowed for the duration of the call — no copy, no
+  // allocation. Not reentrant: one ParallelFor at a time per pool.
   template <typename Fn>
-  void ParallelFor(int count, Fn&& fn, int grain = 0) {
-    auto adapter = [&fn](int begin, int end, int worker) {
-      for (int i = begin; i < end; ++i) fn(i, worker);
-    };
-    ParallelForChunked(count, grain, adapter);
-  }
-
-  // Range form: fn(begin, end, worker) over half-open chunks of ~grain
-  // indices. The callable is borrowed for the duration of the call — no
-  // copy, no allocation.
-  template <typename Fn>
-  void ParallelForChunked(int count, int grain, Fn&& fn) {
-    Run(count, grain,
-        [](void* ctx, int begin, int end, int worker) {
-          (*static_cast<std::remove_reference_t<Fn>*>(ctx))(begin, end,
-                                                            worker);
+  void ParallelFor(int count, Fn&& fn) {
+    Run(count,
+        [](void* ctx, int index) {
+          (*static_cast<std::remove_reference_t<Fn>*>(ctx))(index);
         },
         &fn);
   }
 
  private:
-  using RangeFn = void (*)(void* ctx, int begin, int end, int worker);
+  using IndexFn = void (*)(void* ctx, int index);
 
   // Padded per-worker ack slot: workers publish the last epoch they have
   // fully drained; false sharing here would serialize the completion path.
@@ -101,21 +79,15 @@ class ThreadPool {
     std::atomic<uint64_t> epoch{0};
   };
 
-  void Run(int count, int grain, RangeFn invoke, void* ctx) {
+  void Run(int count, IndexFn invoke, void* ctx) {
     if (count <= 0) return;
     if (parallelism_ == 1 || count == 1) {
-      invoke(ctx, 0, count, 0);
+      for (int i = 0; i < count; ++i) invoke(ctx, i);
       return;
-    }
-    if (grain <= 0) {
-      // A few chunks per worker: dynamic balancing without a contended
-      // RMW per index.
-      grain = std::max(1, count / (parallelism_ * 4));
     }
     invoke_ = invoke;
     ctx_ = ctx;
     count_ = count;
-    grain_ = grain;
     next_.store(0, std::memory_order_relaxed);
     uint64_t epoch;
     {
@@ -123,7 +95,7 @@ class ThreadPool {
       epoch = epoch_.fetch_add(1, std::memory_order_release) + 1;
     }
     work_cv_.notify_all();
-    Drain(0);
+    Drain();
     // Wait (spin, then sleep) for every worker to ack this epoch. Workers
     // that find no indices left ack immediately, so this is cheap even
     // when the caller drained everything itself.
@@ -141,13 +113,11 @@ class ThreadPool {
     return true;
   }
 
-  void Drain(int worker) {
+  void Drain() {
     const int count = count_;
-    const int grain = grain_;
-    int begin;
-    while ((begin = next_.fetch_add(grain, std::memory_order_relaxed)) <
-           count) {
-      invoke_(ctx_, begin, std::min(begin + grain, count), worker);
+    int index;
+    while ((index = next_.fetch_add(1, std::memory_order_relaxed)) < count) {
+      invoke_(ctx_, index);
     }
   }
 
@@ -169,7 +139,7 @@ class ThreadPool {
         current = epoch_.load(std::memory_order_acquire);
       }
       seen = current;
-      Drain(worker);
+      Drain();
       acks_[static_cast<size_t>(worker - 1)].epoch.store(
           seen, std::memory_order_release);
       {
@@ -187,10 +157,9 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 
   // Current job; valid only between epoch publication and the last ack.
-  RangeFn invoke_ = nullptr;
+  IndexFn invoke_ = nullptr;
   void* ctx_ = nullptr;
   int count_ = 0;
-  int grain_ = 1;
   std::atomic<int> next_{0};
   std::atomic<uint64_t> epoch_{0};
 

@@ -17,6 +17,9 @@ constexpr TimeDelta kPolicyInterval = TimeDelta::Seconds(1);
 constexpr TimeDelta kPliMinInterval = TimeDelta::Millis(300);
 constexpr TimeDelta kSembTimeTrigger = TimeDelta::Seconds(1);
 constexpr double kSembEventThreshold = 0.10;  // 10% change fires a report
+// Reassembly state of an SSRC idle this long is dropped (see
+// Client::TrimQoeHistoryBefore).
+constexpr TimeDelta kDeadStreamIdle = TimeDelta::Seconds(30);
 
 // Padding SSRCs live outside the directory so nodes do not forward them.
 Ssrc PaddingSsrc(ClientId id) { return Ssrc(0x80000000u | id.value()); }
@@ -671,7 +674,6 @@ void Client::TrimQoeHistoryBefore(Timestamp t) {
   // a departed publisher's ids never come back — and a live stream idle
   // this long restarts cleanly from a keyframe (fresh jitter buffer, PLI
   // clock at zero) if it ever resumes.
-  static constexpr TimeDelta kDeadStreamIdle = TimeDelta::Seconds(30);
   std::erase_if(received_, [t](const auto& entry) {
     return entry.second.last_packet + kDeadStreamIdle <= t;
   });

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace gso::core {
 namespace {
@@ -36,18 +35,16 @@ struct MergeSlot {
   std::vector<PublishedStream::Receiver> receivers;
 };
 
-// Per-worker Step-1 scratch: each thread builds its knapsack instance and
-// solves it in its own buffers, so the parallel fan-out shares nothing
-// mutable and every buffer is reused across solves. Grow-only: classes are
-// never shrunk (shrinking would free the per-class item buffers), the live
-// prefix is passed to the solver as a span.
+// Step-1 scratch: each subscriber's knapsack instance is built and solved
+// in these buffers, reused across subscribers and solves. Grow-only:
+// classes are never shrunk (shrinking would free the per-class item
+// buffers), the live prefix is passed to the solver as a span.
 struct Step1Scratch {
   std::vector<MckpClass> classes;
   std::vector<std::vector<int>> class_options;  // indices into active[source]
   MckpWorkspace mckp;
   MckpResult result;
-  // Per-solve trace counters, summed serially after the fan-out so the
-  // totals are deterministic at any thread count.
+  // Per-solve trace counters.
   int cache_hits = 0;
   int mckp_solves = 0;
 };
@@ -95,14 +92,12 @@ struct Orchestrator::Workspace {
   std::vector<uint8_t> mask_overflow;
   // Step-1 cache: requests per subscriber, recomputed only when dirty.
   std::vector<std::vector<Step1Request>> requests;
-  std::vector<uint8_t> dirty;   // per subscriber
-  std::vector<int> dirty_list;  // dirty subscribers, ascending
+  std::vector<uint8_t> dirty;  // per subscriber
   std::vector<MergeSlot> merged;
   // Per client: published (source, merge slot) pairs this iteration.
   std::vector<std::vector<std::pair<int, int>>> per_publisher;
   std::vector<int> used_publishers;  // clients with >= 1 stream, ascending
-  std::vector<Step1Scratch> scratch;  // one per worker
-  bool scratch_prewarmed = false;     // see the pool-creation warm-up
+  Step1Scratch step1;
   // Step-3 repair knapsack scratch (serial; violations are rare).
   std::vector<MckpClass> fix_classes;
   std::vector<std::vector<StreamOption>> fix_class_options;
@@ -137,33 +132,13 @@ struct Orchestrator::Workspace {
   std::vector<PublishedStream> stream_pool;
 };
 
-Orchestrator::Orchestrator(const MckpSolver* step1_solver,
-                           OrchestratorOptions options)
-    : step1_solver_(step1_solver),
-      options_(options),
-      ws_(std::make_unique<Workspace>()) {
-  // The pool is created lazily (PoolFor): a process hosting many tiny
-  // conferences never pays for idle worker threads.
-  ws_->scratch.resize(1);
-}
+Orchestrator::Orchestrator(const MckpSolver* step1_solver)
+    : step1_solver_(step1_solver), ws_(std::make_unique<Workspace>()) {}
 
 Orchestrator::~Orchestrator() = default;
 
-ThreadPool* Orchestrator::PoolFor(int num_subscribers) const {
-  if (options_.step1_threads <= 1) return nullptr;
-  if (num_subscribers < options_.min_parallel_subscribers) return nullptr;
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(options_.step1_threads);
-    ws_->scratch.resize(static_cast<size_t>(pool_->parallelism()));
-  }
-  return pool_.get();
-}
-
 const Solution& Orchestrator::Solve(const SolveRequest& request) const {
-  GSO_CHECK((request.problem != nullptr) != (request.compiled != nullptr));
-  if (request.compiled != nullptr) {
-    return RunSolve(*request.compiled, /*use_cache=*/false);
-  }
+  GSO_CHECK(request.problem != nullptr);
   return request.warm ? SolveWarm(*request.problem)
                       : SolveCold(*request.problem);
 }
@@ -309,9 +284,9 @@ int Orchestrator::PrepareWarmCaches(int next) const {
 }
 
 void Orchestrator::SolveSubscriberMckp(const CompiledProblem& compiled,
-                                       int subscriber, int worker) const {
+                                       int subscriber) const {
   Workspace& ws = *ws_;
-  Step1Scratch& scratch = ws.scratch[static_cast<size_t>(worker)];
+  Step1Scratch& scratch = ws.step1;
   const CompiledSubscription* edges = compiled.subscriptions_begin(subscriber);
   const size_t n = static_cast<size_t>(compiled.subscription_count(subscriber));
 
@@ -358,11 +333,11 @@ void Orchestrator::SolveSubscriberMckp(const CompiledProblem& compiled,
 }
 
 void Orchestrator::Step1ForSubscriber(const CompiledProblem& compiled,
-                                      int subscriber, int worker,
+                                      int subscriber,
                                       bool use_cache) const {
   Workspace& ws = *ws_;
   if (!use_cache) {
-    SolveSubscriberMckp(compiled, subscriber, worker);
+    SolveSubscriberMckp(compiled, subscriber);
     return;
   }
 
@@ -385,21 +360,20 @@ void Orchestrator::Step1ForSubscriber(const CompiledProblem& compiled,
     if (mask != 0) all_zero = false;
     if (red_match && cache.red_key[k] != mask) red_match = false;
   }
-  Step1Scratch& scratch = ws.scratch[static_cast<size_t>(worker)];
   if (cacheable) {
     if (all_zero && cache.full_valid) {
       ws.requests[static_cast<size_t>(subscriber)] = cache.full;
-      ++scratch.cache_hits;
+      ++ws.step1.cache_hits;
       return;
     }
     if (!all_zero && red_match) {
       ws.requests[static_cast<size_t>(subscriber)] = cache.red;
-      ++scratch.cache_hits;
+      ++ws.step1.cache_hits;
       return;
     }
   }
 
-  SolveSubscriberMckp(compiled, subscriber, worker);
+  SolveSubscriberMckp(compiled, subscriber);
   if (!cacheable) return;
   const auto& requests = ws.requests[static_cast<size_t>(subscriber)];
   if (all_zero) {
@@ -439,34 +413,8 @@ const Solution& Orchestrator::RunSolve(const CompiledProblem& compiled,
   ws.per_publisher.resize(static_cast<size_t>(compiled.num_clients()));
   for (auto& streams : ws.per_publisher) streams.clear();
   ws.used_publishers.clear();
-  for (auto& scratch : ws.scratch) {
-    scratch.cache_hits = 0;
-    scratch.mckp_solves = 0;
-  }
-
-  ThreadPool* pool = PoolFor(num_subscribers);
-  if (pool != nullptr && !ws.scratch_prewarmed) {
-    // Deterministic scratch warm-up. Dynamic chunking means which worker
-    // solves which subscriber depends on OS scheduling, so the per-worker
-    // grow-only buffers would otherwise reach steady-state capacity at an
-    // unpredictable point (a starved worker can first touch its scratch
-    // many solves in). Running every full-ladder instance through every
-    // worker's scratch once — serially, at pool creation — bounds all
-    // later growth for this problem shape: Reduction only shrinks Step-1
-    // instances, so pooled steady-state solves are allocation-free no
-    // matter how chunks land on workers.
-    for (size_t w = 0; w < ws.scratch.size(); ++w) {
-      for (int sub = 0; sub < num_subscribers; ++sub) {
-        Step1ForSubscriber(compiled, sub, static_cast<int>(w),
-                           /*use_cache=*/false);
-      }
-    }
-    for (auto& scratch : ws.scratch) {
-      scratch.cache_hits = 0;
-      scratch.mckp_solves = 0;
-    }
-    ws.scratch_prewarmed = true;
-  }
+  ws.step1.cache_hits = 0;
+  ws.step1.mckp_solves = 0;
 
   // Each resolution can be removed at most once; one extra pass terminates.
   const int max_iterations = compiled.total_merge_slots() + 1;
@@ -479,30 +427,11 @@ const Solution& Orchestrator::RunSolve(const CompiledProblem& compiled,
     stats.iterations = iteration;
 
     // ---- Step 1: per-subscriber Multiple-Choice Knapsack ----
-    // Dirty subscribers are independent: each solve reads only the active
-    // ladders (immutable within an iteration) and writes its own request
-    // slot, so the fan-out is deterministic at any thread count and grain.
+    // Only dirty subscribers are re-solved, in ascending order.
     const auto step1_start = SolveClock::now();
-    ws.dirty_list.clear();
     for (int sub = 0; sub < num_subscribers; ++sub) {
-      if (ws.dirty[static_cast<size_t>(sub)]) ws.dirty_list.push_back(sub);
-    }
-    const int num_dirty = static_cast<int>(ws.dirty_list.size());
-    if (pool != nullptr && num_dirty > 1) {
-      const auto parallel_start = SolveClock::now();
-      pool->ParallelFor(
-          num_dirty,
-          [&](int i, int worker) {
-            Step1ForSubscriber(compiled,
-                               ws.dirty_list[static_cast<size_t>(i)], worker,
-                               use_cache);
-          },
-          options_.step1_grain);
-      stats.step1_parallel_wall_us += ElapsedUs(parallel_start);
-    } else {
-      for (int i = 0; i < num_dirty; ++i) {
-        Step1ForSubscriber(compiled, ws.dirty_list[static_cast<size_t>(i)], 0,
-                           use_cache);
+      if (ws.dirty[static_cast<size_t>(sub)]) {
+        Step1ForSubscriber(compiled, sub, use_cache);
       }
     }
     std::fill(ws.dirty.begin(), ws.dirty.end(), static_cast<uint8_t>(0));
@@ -732,10 +661,8 @@ const Solution& Orchestrator::RunSolve(const CompiledProblem& compiled,
       }
 
       solution.iterations = iteration;
-      for (const auto& scratch : ws.scratch) {
-        stats.knapsack_solves += scratch.mckp_solves;
-        stats.step1_cache_hits += scratch.cache_hits;
-      }
+      stats.knapsack_solves += ws.step1.mckp_solves;
+      stats.step1_cache_hits += ws.step1.cache_hits;
       solution.stats = stats;
       solution.stats.total_wall_us = ElapsedUs(solve_start);
       return solution;

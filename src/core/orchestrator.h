@@ -20,8 +20,9 @@
 // The solve runs on a dense-index compiled form of the problem (see
 // core/compiled_problem.h): ids are interned once per solve and the hot
 // loop touches only flat vectors, reusable MCKP workspaces and bitmaps.
-// Step-1 knapsacks are independent per subscriber and can optionally run
-// on a thread pool; results are bit-identical at any thread count.
+// Step 1 runs serially: a cold solve of a 64-party mesh takes ~0.1 s, well
+// inside the 1-3 s control interval, and the fleet service already runs
+// whole conferences in parallel on its shards' solver pools.
 //
 // Warm-start (SolveRequest::Warm): the orchestrator retains the previous
 // compiled problem and per-subscriber Step-1 results across solves. Each warm
@@ -43,52 +44,21 @@
 #include "core/mckp.h"
 #include "core/types.h"
 
-namespace gso {
-class ThreadPool;
-}  // namespace gso
-
 namespace gso::core {
 
-struct OrchestratorOptions {
-  // Number of threads solving the Step-1 per-subscriber knapsacks. 1 keeps
-  // the solve fully serial (no pool, no synchronization); >1 allows a
-  // pool owned by the orchestrator. Solutions are bit-identical at any
-  // thread count: each subscriber's knapsack reads only immutable
-  // iteration state and writes its own result slot.
-  int step1_threads = 1;
-  // The pool is created lazily, on the first solve whose subscriber count
-  // reaches this threshold — processes hosting many tiny conferences never
-  // hold idle worker threads. Solves below the threshold run serially
-  // even after the pool exists (the fan-out would cost more than it saves).
-  int min_parallel_subscribers = 8;
-  // Chunk size for the Step-1 fan-out: each worker grabs `step1_grain`
-  // subscribers per atomic fetch. 0 derives a grain that hands every
-  // worker a few chunks (dynamic balancing without per-index contention).
-  // Grain never affects results, only scheduling.
-  int step1_grain = 0;
-};
-
-// The single argument of Orchestrator::Solve. Exactly one of `problem` /
-// `compiled` is set; the orchestrator picks the execution strategy from
-// the request:
-//  - Cold(problem):        compile from scratch, solve everything.
-//  - Warm(problem):        recompile into retained storage, diff against
-//                          the previous warm snapshot, and re-run Step 1
-//                          only for subscribers whose inputs changed.
-//                          Bit-identical to Cold(problem) at every thread
-//                          count; only the `stats` trace differs.
-//  - Precompiled(compiled): solve a caller-retained CompiledProblem (the
-//                          OrchestrationProblem it was compiled from must
-//                          outlive the call); `stats.compile_wall_us` is
-//                          zero on this path.
+// The single argument of Orchestrator::Solve; the orchestrator picks the
+// execution strategy from the request:
+//  - Cold(problem): compile from scratch, solve everything.
+//  - Warm(problem): recompile into retained storage, diff against the
+//                   previous warm snapshot, and re-run Step 1 only for
+//                   subscribers whose inputs changed. Bit-identical to
+//                   Cold(problem); only the `stats` trace differs.
 // The referenced problem must outlive the Solve call; the snapshot a warm
 // request retains for the *next* diff is compared by value only, so the
 // caller may mutate or destroy the problem afterwards.
 struct SolveRequest {
   const OrchestrationProblem* problem = nullptr;
-  const CompiledProblem* compiled = nullptr;
-  // With `problem`: reuse warm state from the previous warm solve (delta
-  // re-solve). Ignored for precompiled requests.
+  // Reuse warm state from the previous warm solve (delta re-solve).
   bool warm = false;
 
   static SolveRequest Cold(const OrchestrationProblem& problem) {
@@ -102,11 +72,6 @@ struct SolveRequest {
     request.warm = true;
     return request;
   }
-  static SolveRequest Precompiled(const CompiledProblem& compiled) {
-    SolveRequest request;
-    request.compiled = &compiled;
-    return request;
-  }
 };
 
 class Orchestrator {
@@ -114,8 +79,7 @@ class Orchestrator {
   // `step1_solver` solves the per-subscriber MCKP; pass DpMckpSolver for
   // production behaviour or ExhaustiveMckpSolver for the brute-force
   // baseline. The solver must outlive the orchestrator.
-  explicit Orchestrator(const MckpSolver* step1_solver,
-                        OrchestratorOptions options = {});
+  explicit Orchestrator(const MckpSolver* step1_solver);
   ~Orchestrator();
 
   Orchestrator(const Orchestrator&) = delete;
@@ -141,18 +105,15 @@ class Orchestrator {
   const Solution& RunSolve(const CompiledProblem& compiled,
                            bool use_cache) const;
   void Step1ForSubscriber(const CompiledProblem& compiled, int subscriber,
-                          int worker, bool use_cache) const;
-  void SolveSubscriberMckp(const CompiledProblem& compiled, int subscriber,
-                           int worker) const;
+                          bool use_cache) const;
+  void SolveSubscriberMckp(const CompiledProblem& compiled,
+                           int subscriber) const;
   // Diffs the previous warm snapshot against warm_compiled[next],
   // invalidating caches whose inputs changed; returns the dirty count.
   int PrepareWarmCaches(int next) const;
-  ThreadPool* PoolFor(int num_subscribers) const;
 
   const MckpSolver* step1_solver_;
   DpMckpSolver fix_solver_;
-  OrchestratorOptions options_;
-  mutable std::unique_ptr<ThreadPool> pool_;
   mutable std::unique_ptr<Workspace> ws_;
 };
 

@@ -140,10 +140,6 @@ struct SolveStats {
   double compile_wall_us = 0.0;  // problem -> dense-index compilation
   double warm_diff_wall_us = 0.0;  // old-vs-new diff on the warm path
   double step1_wall_us = 0.0;    // per-subscriber knapsacks
-  // Portion of step1_wall_us spent inside the multi-threaded fan-out;
-  // zero when Step 1 ran serially. step1_wall_us - step1_parallel_wall_us
-  // is the serial share (dirty-list build, cache probes, small batches).
-  double step1_parallel_wall_us = 0.0;
   double step2_wall_us = 0.0;    // per-source merges
   double step3_wall_us = 0.0;    // uplink checks / fixes / reductions
   double total_wall_us = 0.0;    // whole solve including compilation

@@ -143,11 +143,9 @@ class SolveQueue {
                                   .count()));
     }
     std::vector<Entry>& entries = entries_;
-    pool.ParallelFor(static_cast<int>(entries.size()),
-                     [&entries](int i, int /*worker*/) {
-                       entries[static_cast<size_t>(i)].node->RunDeferredSolve();
-                     },
-                     /*grain=*/1);
+    pool.ParallelFor(static_cast<int>(entries.size()), [&entries](int i) {
+      entries[static_cast<size_t>(i)].node->RunDeferredSolve();
+    });
     for (const Entry& entry : entries_) {
       const sim::EventLoop::OwnerScope scope(loop_, entry.owner);
       entry.node->CommitDeferredSolve();

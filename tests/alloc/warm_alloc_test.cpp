@@ -1,6 +1,6 @@
-// Hot-path allocation discipline: after warm-up, a warm SolveCompiled and
-// a delta re-solve (SolveWarm) must perform zero heap allocations. Global
-// operator new/delete are replaced with the counting versions from
+// Hot-path allocation discipline: after warm-up, a full re-solve (warm
+// state reset) and a delta re-solve must perform zero heap allocations.
+// Global operator new/delete are replaced with the counting versions from
 // common/alloc_tracker.h, so this test lives in its own executable
 // (gso_alloc_tests) and skips itself under sanitizers, whose interceptors
 // own the allocator.
@@ -62,40 +62,26 @@ OrchestrationProblem MeshWithReductions(int clients) {
   return problem;
 }
 
-TEST(WarmAlloc, SolveCompiledIsAllocationFreeAfterWarmup) {
+// A full warm re-solve: ResetWarmState drops every cached Step-1 result,
+// so each counted solve recompiles, re-runs every knapsack and reduces —
+// all in storage kept from the warm-up solves.
+TEST(WarmAlloc, FullResolveIsAllocationFreeAfterWarmup) {
   if (!alloc::tracker_active()) {
     GTEST_SKIP() << "allocation counting is disabled under sanitizers";
   }
   const DpMckpSolver solver;
   const Orchestrator orchestrator(&solver);
   const auto problem = MeshWithReductions(12);
-  const CompiledProblem compiled = CompiledProblem::Compile(problem);
+  auto full_resolve = [&] {
+    orchestrator.ResetWarmState();
+    (void)orchestrator.Solve(SolveRequest::Warm(problem));
+  };
 
-  for (int i = 0; i < 3; ++i) (void)orchestrator.Solve(SolveRequest::Precompiled(compiled));
+  for (int i = 0; i < 3; ++i) full_resolve();
   const int64_t allocs = CountAllocations([&] {
-    for (int i = 0; i < 5; ++i) (void)orchestrator.Solve(SolveRequest::Precompiled(compiled));
+    for (int i = 0; i < 5; ++i) full_resolve();
   });
-  EXPECT_EQ(allocs, 0) << "steady-state SolveCompiled allocated";
-}
-
-TEST(WarmAlloc, SolveCompiledIsAllocationFreeWithThreadPool) {
-  if (!alloc::tracker_active()) {
-    GTEST_SKIP() << "allocation counting is disabled under sanitizers";
-  }
-  const DpMckpSolver solver;
-  OrchestratorOptions options;
-  options.step1_threads = 4;
-  options.min_parallel_subscribers = 2;
-  const Orchestrator orchestrator(&solver, options);
-  const auto problem = MeshWithReductions(12);
-  const CompiledProblem compiled = CompiledProblem::Compile(problem);
-
-  // Warm-up also creates the lazy pool and its per-worker scratch.
-  for (int i = 0; i < 3; ++i) (void)orchestrator.Solve(SolveRequest::Precompiled(compiled));
-  const int64_t allocs = CountAllocations([&] {
-    for (int i = 0; i < 5; ++i) (void)orchestrator.Solve(SolveRequest::Precompiled(compiled));
-  });
-  EXPECT_EQ(allocs, 0) << "parallel SolveCompiled allocated";
+  EXPECT_EQ(allocs, 0) << "steady-state full re-solve allocated";
 }
 
 TEST(WarmAlloc, DeltaResolveIsAllocationFreeAfterWarmup) {

@@ -1,9 +1,11 @@
-// Tests for the Step-1 worker pool.
+// Tests for the solver worker pool.
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <thread>
 #include <vector>
 
 namespace gso {
@@ -12,29 +14,38 @@ namespace {
 TEST(ThreadPool, SerialPoolRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.parallelism(), 1);
-  std::vector<int> workers(8, -1);
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<int> order;
-  pool.ParallelFor(8, [&](int index, int worker) {
-    workers[static_cast<size_t>(index)] = worker;
+  pool.ParallelFor(8, [&](int index) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
     order.push_back(index);
   });
-  // Worker 0 (the caller) runs everything, in index order.
-  for (int w : workers) EXPECT_EQ(w, 0);
+  // The caller runs everything, in index order.
+  ASSERT_EQ(order.size(), 8u);
   for (size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(order[i], static_cast<int>(i));
   }
 }
 
 TEST(ThreadPool, EveryIndexRunsExactlyOnce) {
-  ThreadPool pool(4);
+  // Each index writes a pure function of itself into its own slot, so the
+  // result must be identical at every parallelism.
   constexpr int kCount = 1000;
-  std::vector<std::atomic<int>> hits(kCount);
-  pool.ParallelFor(kCount, [&](int index, int worker) {
-    ASSERT_GE(worker, 0);
-    ASSERT_LT(worker, pool.parallelism());
-    hits[static_cast<size_t>(index)].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (int parallelism : {1, 2, 4, 8}) {
+    ThreadPool pool(parallelism);
+    std::vector<std::atomic<int>> hits(kCount);
+    std::vector<int64_t> out(kCount);
+    pool.ParallelFor(kCount, [&](int index) {
+      hits[static_cast<size_t>(index)].fetch_add(1, std::memory_order_relaxed);
+      out[static_cast<size_t>(index)] = static_cast<int64_t>(index) * index + 7;
+    });
+    for (int i = 0; i < kCount; ++i) {
+      const size_t slot = static_cast<size_t>(i);
+      EXPECT_EQ(hits[slot].load(), 1) << "parallelism " << parallelism;
+      EXPECT_EQ(out[slot], static_cast<int64_t>(i) * i + 7)
+          << "parallelism " << parallelism;
+    }
+  }
 }
 
 TEST(ThreadPool, ReusableAcrossManyJobs) {
@@ -45,7 +56,7 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
     const int count = 1 + (round * 7) % 23;
     std::vector<std::atomic<int>> hits(static_cast<size_t>(count));
     std::atomic<int> total{0};
-    pool.ParallelFor(count, [&](int index, int) {
+    pool.ParallelFor(count, [&](int index) {
       hits[static_cast<size_t>(index)].fetch_add(1,
                                                  std::memory_order_relaxed);
       total.fetch_add(index, std::memory_order_relaxed);
@@ -63,81 +74,21 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
 TEST(ThreadPool, ZeroAndNegativeCountsAreNoOps) {
   ThreadPool pool(2);
   int calls = 0;
-  pool.ParallelFor(0, [&](int, int) { ++calls; });
-  pool.ParallelFor(-5, [&](int, int) { ++calls; });
+  pool.ParallelFor(0, [&](int) { ++calls; });
+  pool.ParallelFor(-5, [&](int) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
-TEST(ThreadPool, ChunkedCoversEveryIndexOnceAtAnyGrain) {
-  ThreadPool pool(4);
-  constexpr int kCount = 337;  // prime: never divides evenly into chunks
-  for (int grain : {1, 2, 7, 64, 400}) {
-    std::vector<std::atomic<int>> hits(kCount);
-    pool.ParallelForChunked(kCount, grain,
-                            [&](int begin, int end, int worker) {
-                              ASSERT_GE(worker, 0);
-                              ASSERT_LT(worker, pool.parallelism());
-                              ASSERT_LE(end, kCount);
-                              for (int i = begin; i < end; ++i) {
-                                hits[static_cast<size_t>(i)].fetch_add(
-                                    1, std::memory_order_relaxed);
-                              }
-                            });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "grain " << grain;
-  }
-}
-
-TEST(ThreadPool, SlotWritesAreDeterministicAcrossGrains) {
-  // Each index writes a pure function of itself into its own slot, so the
-  // result must be identical at every parallelism and grain.
-  auto run = [](int parallelism, int grain) {
-    ThreadPool pool(parallelism);
-    std::vector<int64_t> out(1000);
-    pool.ParallelForChunked(1000, grain, [&](int begin, int end, int) {
-      for (int i = begin; i < end; ++i) {
-        out[static_cast<size_t>(i)] = static_cast<int64_t>(i) * i + 7;
-      }
-    });
-    return out;
-  };
-  const auto reference = run(1, 1);
-  for (int parallelism : {2, 4, 8}) {
-    for (int grain : {0, 1, 13, 250}) {
-      EXPECT_EQ(run(parallelism, grain), reference)
-          << "parallelism " << parallelism << " grain " << grain;
-    }
-  }
-}
-
 TEST(ThreadPool, MorePoolThreadsThanIndices) {
-  // Workers that find no chunk left must still ack so the caller returns.
+  // Workers that find no index left must still ack so the caller returns.
   ThreadPool pool(8);
   std::atomic<int> total{0};
   for (int round = 0; round < 50; ++round) {
-    pool.ParallelFor(2, [&](int index, int) {
+    pool.ParallelFor(2, [&](int index) {
       total.fetch_add(index + 1, std::memory_order_relaxed);
     });
   }
   EXPECT_EQ(total.load(), 50 * 3);
-}
-
-TEST(ThreadPool, PerWorkerScratchIsRaceFree) {
-  // The orchestrator keys scratch buffers by worker id; two concurrent
-  // calls must never observe the same worker id. Detect collisions by
-  // checking an in-use flag per worker slot.
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> in_use(4);
-  std::atomic<bool> collision{false};
-  pool.ParallelFor(500, [&](int, int worker) {
-    if (in_use[static_cast<size_t>(worker)].exchange(1) != 0) {
-      collision.store(true);
-    }
-    // A little work to widen the race window.
-    volatile int sink = 0;
-    for (int i = 0; i < 100; ++i) sink = sink + i;
-    in_use[static_cast<size_t>(worker)].store(0);
-  });
-  EXPECT_FALSE(collision.load());
 }
 
 }  // namespace

@@ -368,23 +368,6 @@ TEST(OrchestratorEquivalence, FastPathMatchesReferenceBitIdentical) {
   EXPECT_GE(cases, 500);
 }
 
-// Parallel Step-1 must be indistinguishable from the serial solve.
-TEST(OrchestratorEquivalence, ParallelStep1MatchesSerialBitIdentical) {
-  DpMckpSolver dp;
-  Orchestrator serial(&dp);
-  Orchestrator parallel(&dp, OrchestratorOptions{.step1_threads = 4});
-  for (const auto& shape : kShapes) {
-    for (uint64_t seed = 1; seed <= 20; ++seed) {
-      const auto problem = RandomProblem(shape, seed);
-      const Solution a = serial.Solve(SolveRequest::Cold(problem));
-      const Solution b = parallel.Solve(SolveRequest::Cold(problem));
-      ExpectBitIdentical(a, b, "parallel", seed);
-      EXPECT_EQ(a.stats.knapsack_solves, b.stats.knapsack_solves);
-      EXPECT_EQ(a.stats.reductions, b.stats.reductions);
-    }
-  }
-}
-
 // Reusing one orchestrator (and thus its workspace) across many different
 // problems must not leak state between solves.
 TEST(OrchestratorEquivalence, WorkspaceReuseIsStateless) {

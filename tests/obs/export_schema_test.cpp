@@ -164,7 +164,9 @@ TEST(ExportSchema, ConferenceExportSpansThreePlanes) {
                     &id, &t_us) == 2) {
       ++sample_lines;
       const auto it = last_t.find(id);
-      if (it != last_t.end()) EXPECT_GE(t_us, it->second) << line;
+      if (it != last_t.end()) {
+        EXPECT_GE(t_us, it->second) << line;
+      }
       last_t[id] = t_us;
     }
   }

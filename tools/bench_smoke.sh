@@ -56,7 +56,7 @@ for row in doc["results"]:
     if row["ns_per_solve"] <= 0 or row["solves"] <= 0:
         sys.exit(f"bench_smoke: non-positive measurement: {row}")
     modes.add(row["mode"])
-# The bench must have exercised both the cold thread sweep and the
+# The bench must have exercised both the cold solves and the
 # warm-start delta shapes (the latter self-verify against cold solves).
 if modes != {"cold", "warm_delta"}:
     sys.exit(f"bench_smoke: expected cold and warm_delta rows, got {modes}")
