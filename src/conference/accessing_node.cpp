@@ -147,21 +147,7 @@ void AccessingNode::HandleMediaPacket(const net::RtpPacket& packet,
   auto& stream = uplink_streams_[packet.ssrc];
   stream.last_packet = now;
   stream.rate.Update(now, wire.wire_size);
-  if (!from_peer) {
-    const int64_t seq = stream.unwrapper.Unwrap(packet.sequence_number);
-    stream.received.insert(seq);
-    stream.nack_state.erase(seq);
-    stream.highest = std::max(stream.highest, seq);
-    while (stream.received.size() > 2000) {
-      stream.received.erase(stream.received.begin());
-    }
-    // Retry state below the NACK window is dead — the RTCP tick never
-    // looks back more than 150 seqs — so without this a lossy stream
-    // accretes one entry per permanently lost packet for its lifetime.
-    stream.nack_state.erase(
-        stream.nack_state.begin(),
-        stream.nack_state.lower_bound(stream.highest - 150));
-  }
+  if (!from_peer) stream.window.Insert(packet.sequence_number);
   forward_cache_.Put(packet);
 
   // A keyframe on a new layer completes any pending make-before-break
@@ -411,19 +397,7 @@ void AccessingNode::OnRtcpTick() {
     for (auto& [ssrc, stream] : uplink_streams_) {
       const auto info = directory_->Lookup(ssrc);
       if (!info || info->owner != client_id) continue;
-      if (stream.highest < 0 || stream.received.empty()) continue;
-      std::vector<uint16_t> nacks;
-      const int64_t floor_seq = *stream.received.begin();
-      for (int64_t s = std::max(floor_seq, stream.highest - 150);
-           s < stream.highest && nacks.size() < 16; ++s) {
-        if (stream.received.count(s)) continue;
-        auto& [last_sent, attempts] = stream.nack_state[s];
-        if (attempts >= 4) continue;
-        if (attempts > 0 && now - last_sent < TimeDelta::Millis(50)) continue;
-        ++attempts;
-        last_sent = now;
-        nacks.push_back(static_cast<uint16_t>(s & 0xFFFF));
-      }
+      auto nacks = stream.window.Collect(now, /*floor=*/INT64_MIN);
       if (!nacks.empty()) {
         messages.push_back(net::Nack{node_ssrc, ssrc, std::move(nacks)});
       }
@@ -776,7 +750,7 @@ AccessingNode::TableSizes AccessingNode::table_sizes() const {
     sizes.selected += attached->selected.size();
   }
   for (const auto& [_, stream] : uplink_streams_) {
-    sizes.nack_entries += stream.nack_state.size();
+    sizes.nack_entries += stream.window.retry_entries();
   }
   return sizes;
 }

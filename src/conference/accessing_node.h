@@ -20,7 +20,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -169,10 +168,7 @@ class AccessingNode : public sim::CrashableProcess {
   };
 
   struct UplinkStreamState {
-    SequenceUnwrapper unwrapper;
-    std::set<int64_t> received;
-    int64_t highest = -1;
-    std::map<int64_t, std::pair<Timestamp, int>> nack_state;
+    ReceiveWindow window{/*max_attempts=*/4, /*max_batch=*/16};
     Timestamp last_packet = Timestamp::Zero();
     WindowedRateEstimator rate{TimeDelta::Seconds(1)};
   };

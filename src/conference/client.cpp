@@ -323,25 +323,20 @@ void Client::HandleRtcp(const std::vector<uint8_t>& data) {
 void Client::OnRtcpTick() {
   std::vector<net::RtcpMessage> messages;
   const Timestamp now = loop_->Now();
+  const Ssrc sender = camera_ssrcs_.empty() ? audio_ssrc_ : camera_ssrcs_[0];
 
-  if (auto feedback = feedback_builder_.Build(
-          camera_ssrcs_.empty() ? audio_ssrc_ : camera_ssrcs_[0])) {
+  if (auto feedback = feedback_builder_.Build(sender)) {
     messages.push_back(std::move(*feedback));
   }
   for (auto& [ssrc, stream] : received_) {
-    const auto nacks = stream.jitter.CollectNacks(now);
+    auto nacks = stream.jitter.CollectNacks(now);
     if (!nacks.empty()) {
-      net::Nack nack;
-      nack.sender_ssrc = camera_ssrcs_.empty() ? audio_ssrc_ : camera_ssrcs_[0];
-      nack.media_ssrc = ssrc;
-      nack.sequences = nacks;
-      messages.push_back(std::move(nack));
+      messages.push_back(net::Nack{sender, ssrc, std::move(nacks)});
     }
     if (stream.jitter.NeedsKeyframe(now) &&
         now - stream.last_pli > kPliMinInterval) {
       stream.last_pli = now;
-      messages.push_back(net::Pli{
-          camera_ssrcs_.empty() ? audio_ssrc_ : camera_ssrcs_[0], ssrc});
+      messages.push_back(net::Pli{sender, ssrc});
     }
   }
   for (auto& m : pending_rtcp_) messages.push_back(std::move(m));

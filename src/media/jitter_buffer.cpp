@@ -8,10 +8,6 @@ namespace {
 // A gap is declared unrecoverable once the decoder is this many complete
 // frames ahead of it; we then freeze until the next keyframe.
 constexpr int kMaxFrameReorderWindow = 50;
-constexpr TimeDelta kNackRetryInterval = TimeDelta::Millis(50);
-constexpr int kMaxNackAttempts = 6;
-constexpr int64_t kNackWindow = 150;  // only recent gaps are worth repair
-constexpr size_t kSeqWindow = 2000;
 
 }  // namespace
 
@@ -19,13 +15,7 @@ std::vector<DecodedFrame> JitterBuffer::Insert(const net::RtpPacket& packet,
                                                Timestamp now) {
   std::vector<DecodedFrame> decoded;
 
-  const int64_t seq = seq_unwrapper_.Unwrap(packet.sequence_number);
-  received_seqs_.insert(seq);
-  nack_state_.erase(seq);
-  highest_seq_ = std::max(highest_seq_, seq);
-  while (received_seqs_.size() > kSeqWindow) {
-    received_seqs_.erase(received_seqs_.begin());
-  }
+  const int64_t seq = window_.Insert(packet.sequence_number);
 
   // Frames older than the decode head are late retransmissions of frames we
   // already decoded or abandoned.
@@ -102,34 +92,10 @@ std::vector<DecodedFrame> JitterBuffer::Insert(const net::RtpPacket& packet,
           last_decoded_frame_ + kMaxFrameReorderWindow) {
     waiting_for_keyframe_ = true;
     waiting_since_ = now;
-    nack_floor_ = highest_seq_;
-    nack_state_.clear();
+    nack_floor_ = window_.highest();
+    window_.ClearRetries();
   }
   return decoded;
-}
-
-std::vector<uint16_t> JitterBuffer::CollectNacks(Timestamp now) {
-  std::vector<uint16_t> nacks;
-  if (highest_seq_ < 0 || received_seqs_.empty()) return nacks;
-  const int64_t floor_seq =
-      std::max({*received_seqs_.begin(), nack_floor_ + 1,
-                highest_seq_ - kNackWindow});
-  // Retry state below the frontier can never be consulted again.
-  nack_state_.erase(nack_state_.begin(),
-                    nack_state_.lower_bound(floor_seq));
-  for (int64_t s = floor_seq; s < highest_seq_; ++s) {
-    if (received_seqs_.count(s)) continue;
-    auto& state = nack_state_[s];
-    if (state.attempts >= kMaxNackAttempts) continue;
-    if (state.attempts > 0 && now - state.last_sent < kNackRetryInterval) {
-      continue;
-    }
-    state.attempts++;
-    state.last_sent = now;
-    nacks.push_back(static_cast<uint16_t>(s & 0xFFFF));
-    if (nacks.size() >= 64) break;  // a few hundred repairs/s at 100 ms ticks
-  }
-  return nacks;
 }
 
 bool JitterBuffer::NeedsKeyframe(Timestamp now) const {

@@ -32,10 +32,10 @@ class JitterBuffer {
   std::vector<DecodedFrame> Insert(const net::RtpPacket& packet,
                                    Timestamp now);
 
-  // Sequence numbers to NACK now: gaps below the highest received sequence
-  // that have not been NACKed within the retry interval and have not
-  // exhausted their retry budget.
-  std::vector<uint16_t> CollectNacks(Timestamp now);
+  // Sequence numbers to NACK now (ReceiveWindow::Collect above the floor).
+  std::vector<uint16_t> CollectNacks(Timestamp now) {
+    return window_.Collect(now, nack_floor_ + 1);
+  }
 
   // True when the decoder is stalled on a gap and needs a keyframe to
   // resynchronize (drives PLI emission after NACK gives up).
@@ -57,16 +57,9 @@ class JitterBuffer {
     int64_t min_seq = INT64_MAX;
   };
 
-  struct NackState {
-    Timestamp last_sent = Timestamp::Zero();
-    int attempts = 0;
-  };
-
-  SequenceUnwrapper seq_unwrapper_;
+  // 64 per 100 ms tick: a few hundred repairs/s.
+  ReceiveWindow window_{/*max_attempts=*/6, /*max_batch=*/64};
   std::map<uint32_t, PartialFrame> partial_frames_;
-  std::set<int64_t> received_seqs_;   // recent window for gap detection
-  std::map<int64_t, NackState> nack_state_;
-  int64_t highest_seq_ = -1;
   // Sequences at or below this are never NACKed: once the decoder gives up
   // on a gap and waits for a keyframe, retransmitting the backlog is pure
   // waste (and on a congested link, a self-sustaining retransmission

@@ -1,22 +1,19 @@
-// Tests for wrapping sequence-number arithmetic.
+// Tests for wrapping sequence-number arithmetic and the NACK receive
+// window, including a differential test of ReceiveWindow against frozen
+// copies of the set/map NACK trackers it replaced.
 #include "common/sequence.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace gso {
 namespace {
-
-TEST(SeqNewerThan, BasicOrdering) {
-  EXPECT_TRUE(SeqNewerThan(2, 1));
-  EXPECT_FALSE(SeqNewerThan(1, 2));
-  EXPECT_FALSE(SeqNewerThan(5, 5));
-}
-
-TEST(SeqNewerThan, AcrossWrap) {
-  EXPECT_TRUE(SeqNewerThan(0, 65535));
-  EXPECT_TRUE(SeqNewerThan(10, 65530));
-  EXPECT_FALSE(SeqNewerThan(65535, 0));
-}
 
 TEST(SequenceUnwrapper, MonotoneSequence) {
   SequenceUnwrapper u;
@@ -63,6 +60,264 @@ TEST(SequenceUnwrapper, LastTracksState) {
   u.Unwrap(7);
   ASSERT_TRUE(u.last().has_value());
   EXPECT_EQ(*u.last(), 7);
+}
+
+TEST(ReceiveWindow, NacksGapsAcrossWrapInOrder) {
+  ReceiveWindow window(6, 64);
+  for (uint16_t seq : {65533, 65535, 2}) window.Insert(seq);
+  EXPECT_EQ(window.Collect(Timestamp::Millis(10), INT64_MIN),
+            (std::vector<uint16_t>{65534, 0, 1}));
+  EXPECT_EQ(window.highest(), 65538);
+}
+
+TEST(ReceiveWindow, RetriesEveryIntervalUpToBudget) {
+  ReceiveWindow window(4, 16);
+  window.Insert(10);
+  window.Insert(12);
+  std::vector<int64_t> sent_at_ms;
+  for (int64_t ms = 0; ms <= 500; ms += 10) {
+    if (!window.Collect(Timestamp::Millis(ms), INT64_MIN).empty()) {
+      sent_at_ms.push_back(ms);
+    }
+  }
+  EXPECT_EQ(sent_at_ms, (std::vector<int64_t>{0, 50, 100, 150}));
+  EXPECT_EQ(window.retry_entries(), 1u);
+  window.Insert(11);  // the repair arrives
+  EXPECT_EQ(window.retry_entries(), 0u);
+}
+
+TEST(ReceiveWindow, FloorBatchCapAndWindowEdge) {
+  ReceiveWindow window(6, 4);
+  window.Insert(0);
+  window.Insert(400);
+  // Only the newest kNackWindow sequences below the highest are repaired,
+  // four per call.
+  EXPECT_EQ(window.Collect(Timestamp::Zero(), INT64_MIN),
+            (std::vector<uint16_t>{250, 251, 252, 253}));
+  EXPECT_EQ(window.Collect(Timestamp::Zero(), 396),
+            (std::vector<uint16_t>{396, 397, 398, 399}));
+  EXPECT_EQ(window.retry_entries(), 8u);
+  window.ClearRetries();
+  EXPECT_EQ(window.retry_entries(), 0u);
+  EXPECT_EQ(window.Collect(Timestamp::Zero(), 398),
+            (std::vector<uint16_t>{398, 399}));
+}
+
+// --- Differential test against the set/map trackers ----------------------
+//
+// Frozen copies of the NACK logic the jitter buffer and the SFU's uplink
+// bookkeeping used before ReceiveWindow. Each keeps the newest 2000
+// received sequences in a set and per-sequence retry state in a map.
+
+// Jitter buffer: floor from the decode frontier, retry state trimmed at
+// collection and dropped on give-up, 6 attempts, 64 per collection.
+class JitterBufferNackReference {
+ public:
+  void Insert(uint16_t sequence_number) {
+    const int64_t seq = unwrapper_.Unwrap(sequence_number);
+    received_seqs_.insert(seq);
+    nack_state_.erase(seq);
+    highest_seq_ = std::max(highest_seq_, seq);
+    while (received_seqs_.size() > 2000) {
+      received_seqs_.erase(received_seqs_.begin());
+    }
+  }
+  void RaiseFloor(int64_t floor) { nack_floor_ = std::max(nack_floor_, floor); }
+  void GiveUp() {
+    nack_floor_ = highest_seq_;
+    nack_state_.clear();
+  }
+  int64_t nack_floor() const { return nack_floor_; }
+
+  std::vector<uint16_t> CollectNacks(Timestamp now) {
+    std::vector<uint16_t> nacks;
+    if (highest_seq_ < 0 || received_seqs_.empty()) return nacks;
+    const int64_t floor_seq = std::max(
+        {*received_seqs_.begin(), nack_floor_ + 1, highest_seq_ - 150});
+    nack_state_.erase(nack_state_.begin(),
+                      nack_state_.lower_bound(floor_seq));
+    for (int64_t s = floor_seq; s < highest_seq_; ++s) {
+      if (received_seqs_.count(s)) continue;
+      auto& state = nack_state_[s];
+      if (state.attempts >= 6) continue;
+      if (state.attempts > 0 &&
+          now - state.last_sent < TimeDelta::Millis(50)) {
+        continue;
+      }
+      state.attempts++;
+      state.last_sent = now;
+      nacks.push_back(static_cast<uint16_t>(s & 0xFFFF));
+      if (nacks.size() >= 64) break;
+    }
+    return nacks;
+  }
+
+ private:
+  struct NackState {
+    Timestamp last_sent = Timestamp::Zero();
+    int attempts = 0;
+  };
+  SequenceUnwrapper unwrapper_;
+  std::set<int64_t> received_seqs_;
+  std::map<int64_t, NackState> nack_state_;
+  int64_t highest_seq_ = -1;
+  int64_t nack_floor_ = -1;
+};
+
+// SFU uplink: retry state trimmed below the window on every insert,
+// 4 attempts, 16 per tick.
+class SfuNackReference {
+ public:
+  void Insert(uint16_t sequence_number) {
+    const int64_t seq = unwrapper_.Unwrap(sequence_number);
+    received_.insert(seq);
+    nack_state_.erase(seq);
+    highest_ = std::max(highest_, seq);
+    while (received_.size() > 2000) received_.erase(received_.begin());
+    nack_state_.erase(nack_state_.begin(),
+                      nack_state_.lower_bound(highest_ - 150));
+  }
+  size_t nack_entries() const { return nack_state_.size(); }
+
+  std::vector<uint16_t> Collect(Timestamp now) {
+    std::vector<uint16_t> nacks;
+    if (highest_ < 0 || received_.empty()) return nacks;
+    const int64_t floor_seq = *received_.begin();
+    for (int64_t s = std::max(floor_seq, highest_ - 150);
+         s < highest_ && nacks.size() < 16; ++s) {
+      if (received_.count(s)) continue;
+      auto& [last_sent, attempts] = nack_state_[s];
+      if (attempts >= 4) continue;
+      if (attempts > 0 && now - last_sent < TimeDelta::Millis(50)) continue;
+      ++attempts;
+      last_sent = now;
+      nacks.push_back(static_cast<uint16_t>(s & 0xFFFF));
+    }
+    return nacks;
+  }
+
+ private:
+  SequenceUnwrapper unwrapper_;
+  std::set<int64_t> received_;
+  int64_t highest_ = -1;
+  std::map<int64_t, std::pair<Timestamp, int>> nack_state_;
+};
+
+// One 10 ms tick of a seeded receive-side stream.
+struct Tick {
+  Timestamp now;
+  std::vector<uint16_t> arrivals;  // in arrival order
+  bool give_up = false;            // the decoder abandons its gaps
+  bool raise_floor = false;        // the decode frontier advances
+  int64_t floor_lag = 0;           // ... to this far below the highest
+};
+
+// Up to 40 % loss, 400-sequence burst gaps, late arrivals up to ~1 s
+// behind (many older than the 256-slot ring), rare forward jumps that wrap
+// the 16-bit counter several times per stream, and duplicates.
+class LossyStream {
+ public:
+  explicit LossyStream(uint64_t seed)
+      : rng_(seed),
+        loss_(0.4 * rng_.NextDouble()),
+        next_(static_cast<uint16_t>(rng_.UniformInt(0, 65535))) {}
+
+  Tick Next() {
+    Tick tick;
+    ++tick_;
+    tick.now = Timestamp::Millis(10 * tick_);
+    const int64_t sent = rng_.UniformInt(0, 8);
+    for (int64_t i = 0; i < sent; ++i) {
+      const double r = rng_.NextDouble();
+      if (r < 0.002) {
+        next_ = static_cast<uint16_t>(next_ + rng_.UniformInt(1000, 30000));
+      } else if (r < 0.01) {
+        next_ = static_cast<uint16_t>(next_ + rng_.UniformInt(1, 400));
+      }
+      const uint16_t seq = next_++;
+      if (!rng_.Bernoulli(loss_)) {
+        tick.arrivals.push_back(seq);
+        if (rng_.Bernoulli(0.01)) tick.arrivals.push_back(seq);
+      } else if (rng_.Bernoulli(0.3)) {
+        late_.emplace(tick_ + rng_.UniformInt(1, 100), seq);
+      }
+    }
+    for (auto it = late_.begin(); it != late_.end() && it->first <= tick_;) {
+      tick.arrivals.push_back(it->second);
+      it = late_.erase(it);
+    }
+    tick.give_up = rng_.Bernoulli(0.005);
+    tick.raise_floor = rng_.Bernoulli(0.05);
+    tick.floor_lag = rng_.UniformInt(0, 300);
+    return tick;
+  }
+
+ private:
+  Rng rng_;
+  double loss_;
+  uint16_t next_;
+  int64_t tick_ = 0;
+  std::multimap<int64_t, uint16_t> late_;  // due tick -> sequence
+};
+
+constexpr int kSeeds = 64;
+constexpr int kTicksPerSeed = 2000;
+
+TEST(ReceiveWindowDifferential, MatchesJitterBufferSetMapLogic) {
+  size_t nacks_compared = 0;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    LossyStream stream(seed);
+    JitterBufferNackReference reference;
+    ReceiveWindow window(6, 64);
+    int64_t nack_floor = -1;
+    for (int t = 0; t < kTicksPerSeed; ++t) {
+      const Tick tick = stream.Next();
+      for (uint16_t seq : tick.arrivals) {
+        reference.Insert(seq);
+        window.Insert(seq);
+      }
+      if (tick.raise_floor) {
+        nack_floor = std::max(nack_floor, window.highest() - tick.floor_lag);
+        reference.RaiseFloor(nack_floor);
+      }
+      if (tick.give_up) {
+        reference.GiveUp();
+        nack_floor = window.highest();
+        window.ClearRetries();
+      }
+      ASSERT_EQ(nack_floor, reference.nack_floor());
+      const auto expected = reference.CollectNacks(tick.now);
+      ASSERT_EQ(window.Collect(tick.now, nack_floor + 1), expected)
+          << "seed " << seed << " tick " << t;
+      nacks_compared += expected.size();
+    }
+  }
+  EXPECT_GT(nacks_compared, 100000u);  // the streams really are lossy
+}
+
+TEST(ReceiveWindowDifferential, MatchesSfuSetMapLogicAndEntryCount) {
+  size_t nacks_compared = 0;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    LossyStream stream(seed);
+    SfuNackReference reference;
+    ReceiveWindow window(4, 16);
+    for (int t = 0; t < kTicksPerSeed; ++t) {
+      const Tick tick = stream.Next();
+      for (uint16_t seq : tick.arrivals) {
+        reference.Insert(seq);
+        window.Insert(seq);
+        ASSERT_EQ(window.retry_entries(), reference.nack_entries())
+            << "seed " << seed << " tick " << t;
+      }
+      const auto expected = reference.Collect(tick.now);
+      ASSERT_EQ(window.Collect(tick.now, INT64_MIN), expected)
+          << "seed " << seed << " tick " << t;
+      ASSERT_EQ(window.retry_entries(), reference.nack_entries())
+          << "seed " << seed << " tick " << t;
+      nacks_compared += expected.size();
+    }
+  }
+  EXPECT_GT(nacks_compared, 50000u);
 }
 
 }  // namespace
