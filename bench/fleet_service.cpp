@@ -60,7 +60,6 @@ struct StormShape {
   std::string name;
   int target_concurrent = 0;
   int num_shards = 1;
-  int solver_threads = 1;
   TimeDelta mean_lifetime = TimeDelta::Seconds(12);
   TimeDelta duration = TimeDelta::Seconds(20);
 };
@@ -85,7 +84,6 @@ struct StormResult {
 StormResult RunStorm(const StormShape& shape, obs::MetricsRegistry* registry) {
   service::ServiceConfig config;
   config.num_shards = shape.num_shards;
-  config.solver_threads_per_shard = shape.solver_threads;
   config.max_conferences = shape.target_concurrent;
   config.solve_backlog = 64;
   config.metrics = registry;
@@ -144,7 +142,6 @@ struct KillShape {
   std::string name = "fleet_failover_64x8";
   int target_concurrent = 64;
   int num_shards = 8;
-  int solver_threads = 1;
   TimeDelta mean_lifetime = TimeDelta::Seconds(12);
   double gossip_loss = 0.05;
   // Crash A is timed (the shard restores itself once its victims are
@@ -190,7 +187,6 @@ KillResult RunKillStorm(const KillShape& shape, bool parallel_shards,
                         bool inject_faults) {
   service::ServiceConfig config;
   config.num_shards = shape.num_shards;
-  config.solver_threads_per_shard = shape.solver_threads;
   config.max_conferences = shape.target_concurrent;
   config.solve_backlog = 64;
   config.parallel_shards = parallel_shards;
@@ -418,7 +414,6 @@ int main(int argc, char** argv) {
     small.name = "fleet_storm_200";
     small.target_concurrent = 200;
     small.num_shards = 2;
-    small.solver_threads = 2;
     small.mean_lifetime = TimeDelta::Seconds(10);
     small.duration = TimeDelta::Seconds(12);
     shapes.push_back(small);
@@ -427,7 +422,6 @@ int main(int argc, char** argv) {
     large.name = "fleet_storm_1000";
     large.target_concurrent = 1000;
     large.num_shards = 4;
-    large.solver_threads = 2;
     large.mean_lifetime = TimeDelta::Seconds(12);
     large.duration = TimeDelta::Seconds(20);
     shapes.push_back(large);
@@ -501,7 +495,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const StormResult& r = results[i];
-    const int threads = r.shape.num_shards * r.shape.solver_threads;
+    const int threads = r.shape.num_shards;
     std::fprintf(
         f,
         "    {\"shape\": \"%s\", \"mode\": \"service\", \"threads\": %d, "
@@ -523,7 +517,7 @@ int main(int argc, char** argv) {
   }
   {
     const KillResult& r = kill_result;
-    const int threads = kill.num_shards * kill.solver_threads;
+    const int threads = kill.num_shards;
     std::fprintf(
         f,
         "    {\"shape\": \"%s\", \"mode\": \"service\", \"threads\": %d, "

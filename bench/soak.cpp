@@ -351,12 +351,11 @@ SoakResult RunFleetSoak(int checkpoints, TimeDelta period,
                                   obs::MetricsStreamWriter::Format::kJsonLines);
   service::ServiceConfig config;
   config.num_shards = 2;
-  config.solver_threads_per_shard = 2;
   config.max_conferences = 8;
   config.solve_backlog = 4;
   config.parallel_shards = true;
   config.metrics = &registry;
-  result.threads = config.num_shards * config.solver_threads_per_shard;
+  result.threads = config.num_shards;
   service::OrchestrationService service(config);
 
   service::ChurnConfig churn;

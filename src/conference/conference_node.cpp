@@ -509,7 +509,7 @@ void ConferenceNode::Orchestrate() {
 
   last_problem_ = BuildProblem();
   if (solve_executor_) {
-    // Service mode: hand the solve to the host's solver pool. On shed the
+    // Service mode: hand the solve to the host's queue. On shed the
     // trigger is re-armed — the orchestration is deferred, not dropped.
     if (solve_executor_(this)) {
       solve_in_flight_ = true;
@@ -528,11 +528,8 @@ void ConferenceNode::Orchestrate() {
 }
 
 void ConferenceNode::RunDeferredSolve() {
-  last_solution_ = orchestrator_.Solve(core::SolveRequest::Warm(last_problem_));
-}
-
-void ConferenceNode::CommitDeferredSolve() {
   GSO_CHECK(solve_in_flight_);
+  last_solution_ = orchestrator_.Solve(core::SolveRequest::Warm(last_problem_));
   solve_in_flight_ = false;
   // Crashed while the solve was queued: the result describes a picture the
   // restarted controller no longer holds.

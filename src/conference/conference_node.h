@@ -134,24 +134,18 @@ class ConferenceNode : public sim::CrashableProcess {
   // By default Orchestrate() solves inline on the loop thread. A host that
   // multiplexes many conferences installs an executor instead: when a
   // trigger fires, the node builds the problem and hands itself to the
-  // executor, which enqueues the solve on a solver pool. The executor
-  // returns false to shed the request (queue full): the node re-arms its
-  // event trigger so the solve happens at a later tick. Accepted solves
-  // run RunDeferredSolve() on a worker thread (pure compute on this node's
-  // orchestrator — the host guarantees the loop is quiescent and no two
-  // threads touch the same node), then CommitDeferredSolve() back on the
-  // loop thread, which disseminates at commit-time virtual time (modeling
-  // the solve's queueing latency deterministically).
+  // executor, which enqueues the solve. The executor returns false to shed
+  // the request (queue full): the node re-arms its event trigger so the
+  // solve happens at a later tick. The host later calls RunDeferredSolve()
+  // on the loop thread, which solves and disseminates at that virtual time
+  // (modeling the solve's queueing latency deterministically).
   void SetSolveExecutor(std::function<bool(ConferenceNode*)> executor) {
     solve_executor_ = std::move(executor);
   }
-  // Worker thread: solves last_problem() into last_solution(). Touches
-  // only this node's orchestrator state.
+  // Loop thread: solves last_problem() into last_solution(), then
+  // disseminates and records the solve trace. Skips dissemination if the
+  // controller crashed while the solve was queued.
   void RunDeferredSolve();
-  // Loop thread, after RunDeferredSolve returned: disseminates and records
-  // the solve trace. Skips dissemination if the controller crashed while
-  // the solve was in flight.
-  void CommitDeferredSolve();
   // Host notification that an accepted solve was displaced from the queue
   // before running (a higher-priority request took its slot): clears the
   // in-flight flag and re-arms the event trigger so the orchestration

@@ -38,8 +38,8 @@ struct MckpResult {
 
 // Grow-only scratch buffers for DpMckpSolver. The controller solves one
 // MCKP per subscriber per iteration; owning the tables across solves (one
-// workspace per orchestrator, or per worker thread when Step 1 runs in
-// parallel) removes every per-solve heap allocation from the hot path.
+// workspace per orchestrator) removes every per-solve heap allocation from
+// the hot path.
 // A workspace may be reused freely across solvers, capacities and problem
 // shapes; buffers only ever grow.
 struct MckpWorkspace {

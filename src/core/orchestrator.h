@@ -22,7 +22,7 @@
 // loop touches only flat vectors, reusable MCKP workspaces and bitmaps.
 // Step 1 runs serially: a cold solve of a 64-party mesh takes ~0.1 s, well
 // inside the 1-3 s control interval, and the fleet service already runs
-// whole conferences in parallel on its shards' solver pools.
+// whole conferences in parallel, one shard per thread.
 //
 // Warm-start (SolveRequest::Warm): the orchestrator retains the previous
 // compiled problem and per-subscriber Step-1 results across solves. Each warm

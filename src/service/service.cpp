@@ -27,10 +27,10 @@ OrchestrationService::OrchestrationService(const ServiceConfig& config)
     : config_(config) {
   GSO_CHECK(config_.num_shards >= 1);
   GSO_CHECK(config_.max_conferences >= 1);
+  GSO_CHECK_EQ(config_.solver_threads_per_shard, 1);
   for (int i = 0; i < config_.num_shards; ++i) {
     ShardConfig shard_config;
     shard_config.index = i;
-    shard_config.solver_threads = config_.solver_threads_per_shard;
     shard_config.solve_backlog = config_.solve_backlog;
     shard_config.large_meeting_threshold = config_.large_meeting_threshold;
     shards_.push_back(std::make_unique<Shard>(shard_config));

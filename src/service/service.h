@@ -7,8 +7,8 @@
 // (least-loaded, deterministic tie-break), and advanced in lock-step
 // virtual-time slices. Each shard multiplexes its conferences on one
 // event loop, batches their solve requests in a priority queue (degraded
-// and large meetings drain first), and fans the batch out across its own
-// solver pool at each slice boundary.
+// and large meetings drain first), and drains the batch serially on its
+// own thread at each slice boundary.
 //
 // Failure domains: each shard is a crashable process. A control-plane
 // event loop — advanced on the main thread between slices — carries the
@@ -55,7 +55,9 @@ namespace gso::service {
 
 struct ServiceConfig {
   int num_shards = 2;
-  int solver_threads_per_shard = 2;
+  // Must be 1: each shard drains its solve queue on its own thread. Kept
+  // only so existing callers that set it still compile.
+  int solver_threads_per_shard = 1;
   // Admission bound with every shard up; the effective bound scales with
   // the live-shard fraction while part of the fleet is down.
   int max_conferences = 64;

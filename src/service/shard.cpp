@@ -51,9 +51,7 @@ void OutcomeAggregate::Fold(const ConferenceOutcome& outcome) {
 }
 
 Shard::Shard(const ShardConfig& config)
-    : config_(config),
-      pool_(config.solver_threads),
-      queue_(config.solve_backlog, &loop_) {}
+    : config_(config), queue_(config.solve_backlog, &loop_) {}
 
 Shard::~Shard() {
   // Teardown ordering: a shard destroyed with solves still queued must not
@@ -242,10 +240,10 @@ void Shard::EraseHosted(uint64_t id) {
 void Shard::RunSlice(TimeDelta slice) {
   if (!alive_) return;  // frozen: the whole domain is down
   loop_.RunFor(slice);
-  // Slice boundary: the batch drains across the solver pool; commits land
-  // at the current virtual instant, which models the solve's queueing
-  // delay (up to one slice) deterministically.
-  queue_.Drain(pool_);
+  // Slice boundary: the batch drains serially; commits land at the current
+  // virtual instant, which models the solve's queueing delay (up to one
+  // slice) deterministically.
+  queue_.Drain();
 }
 
 void Shard::Crash() {

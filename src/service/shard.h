@@ -1,15 +1,15 @@
 // One shard of the orchestration service: a private virtual-time event
-// loop hosting many conferences, a solver thread pool, and a batched solve
-// queue draining at slice boundaries.
+// loop hosting many conferences and a batched solve queue draining at
+// slice boundaries.
 //
 // Threading contract: the service runs the shards' slices on parallel
-// threads (shards share nothing), but within a shard everything except
-// SolveQueue::Drain's ParallelFor happens on the thread that called
-// RunSlice. Between slices the shard is quiescent and the service mutates
-// it (Host/Remove, metrics sampling) from the main thread. Determinism:
-// with conference metrics off, a shard's completed outcomes depend only on
-// its seeds and the virtual clock — bit-identical at any solver thread
-// count and regardless of how the other shards are scheduled.
+// threads (shards share nothing); within a shard everything, the solve
+// queue's drain included, happens on the thread that called RunSlice.
+// Between slices the shard is quiescent and the service mutates it
+// (Host/Remove, metrics sampling) from the main thread. Determinism: with
+// conference metrics off, a shard's completed outcomes depend only on its
+// seeds and the virtual clock — bit-identical regardless of how the other
+// shards are scheduled.
 //
 // Failure domain: a shard is a sim::CrashableProcess. Crash() freezes it —
 // the solve batch is abandoned (shed back to its conferences), slices stop
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/thread_pool.h"
 #include "conference/conference.h"
 #include "service/solve_queue.h"
 #include "sim/fault_plan.h"
@@ -44,7 +43,6 @@ namespace gso::service {
 
 struct ShardConfig {
   int index = 0;
-  int solver_threads = 2;
   int solve_backlog = 32;
   // Meetings with at least this many participants rank as SolveClass::kLarge.
   int large_meeting_threshold = 6;
@@ -130,7 +128,7 @@ class Shard : public sim::CrashableProcess {
   void Discard(uint64_t id);
 
   // Advances the shard by one slice: runs the loop, then drains the solve
-  // batch across the solver pool. Safe to call concurrently with other
+  // batch on the calling thread. Safe to call concurrently with other
   // shards' RunSlice. No-op while crashed — a dead shard's virtual clock
   // freezes, which is exactly the limbo its hosted conferences sit in.
   void RunSlice(TimeDelta slice);
@@ -214,7 +212,6 @@ class Shard : public sim::CrashableProcess {
 
   ShardConfig config_;
   sim::EventLoop loop_;
-  ThreadPool pool_;
   SolveQueue queue_;
   std::map<uint64_t, Hosted> hosted_;
   OutcomeAggregate aggregate_;

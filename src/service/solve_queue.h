@@ -2,14 +2,14 @@
 //
 // Conferences submit deferred orchestrations during a virtual-time slice
 // (through ConferenceNode::SetSolveExecutor); at the slice boundary the
-// shard drains the batch: solves fan out across the shard's solver pool,
-// then commit back on the loop thread in priority order. Three design
-// points keep the service deterministic:
+// shard drains the batch serially on its own thread, solving and then
+// committing each entry in priority order. Three design points keep the
+// service deterministic:
 //
 //  * Priority classes, not priority preemption. Entries are sorted by
 //    (class, arrival seq) at drain time — degraded and large meetings
-//    start first on the pool (ThreadPool hands out low indices first) and
-//    commit first, so their re-configurations reach clients earliest.
+//    solve and commit first, so their re-configurations reach clients
+//    earliest.
 //
 //  * Bounded backlog with displacement shedding. Push refuses the lowest-
 //    priority work when full; an arriving higher-class request displaces
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "conference/conference_node.h"
 
 namespace gso::service {
@@ -120,12 +119,12 @@ class SolveQueue {
     return true;
   }
 
-  // Slice-boundary drain: runs every queued solve on `pool` (pure compute,
-  // one conference per entry — the in-flight guard in ConferenceNode means
-  // no node appears twice), then commits sequentially on the calling
-  // thread in (class, seq) order. Entries whose owner was cancelled since
-  // Push are dropped up front — never run, never committed.
-  void Drain(ThreadPool& pool) {
+  // Slice-boundary drain: in (class, seq) order, solves and commits each
+  // queued entry on the calling thread (one conference per entry — the
+  // in-flight guard in ConferenceNode means no node appears twice).
+  // Entries whose owner was cancelled since Push are dropped up front —
+  // never run, never committed.
+  void Drain() {
     if (entries_.empty()) return;
     DropStaleEntries();
     if (entries_.empty()) return;
@@ -141,14 +140,8 @@ class SolveQueue {
                                   std::chrono::microseconds>(
                                   drain_start - entry.enqueued)
                                   .count()));
-    }
-    std::vector<Entry>& entries = entries_;
-    pool.ParallelFor(static_cast<int>(entries.size()), [&entries](int i) {
-      entries[static_cast<size_t>(i)].node->RunDeferredSolve();
-    });
-    for (const Entry& entry : entries_) {
       const sim::EventLoop::OwnerScope scope(loop_, entry.owner);
-      entry.node->CommitDeferredSolve();
+      entry.node->RunDeferredSolve();
     }
     stats_.solved += entries_.size();
     ++stats_.batches;

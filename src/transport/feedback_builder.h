@@ -20,6 +20,9 @@ class FeedbackBuilder {
  public:
   void OnPacketArrived(uint16_t transport_sequence, Timestamp arrival) {
     const int64_t seq = unwrapper_.Unwrap(transport_sequence);
+    // A late (reordered) packet whose sequence an earlier report already
+    // covered is never reported again; storing it would strand the entry.
+    if (next_to_report_ && seq < *next_to_report_) return;
     arrivals_[seq] = arrival;
     if (!next_to_report_) next_to_report_ = seq;
     max_seen_ = std::max(max_seen_, seq);

@@ -227,6 +227,57 @@ TEST(WarmSolve, SingleReportDeltaDirtiesOneSubscriber) {
   ExpectBitIdentical(delta, cold.Solve(SolveRequest::Cold(problem)), "one-report-delta", 0);
 }
 
+// A repeated solve that reduces replays the reduced-state entry as well as
+// the iteration-1 one: with the same inputs the Reduction removes the same
+// resolution, and every watcher of the reduced source finds its previous
+// result keyed by that removal. This is what keeps warm deltas on a
+// webinar with one constrained publisher at a few milliseconds instead of
+// a full Step 1 per iteration.
+TEST(WarmSolve, RepeatedReducingResolveReplaysReducedEntries) {
+  DpMckpSolver solver;
+  const Orchestrator warm(&solver);
+  OrchestrationProblem problem;
+  const auto ladder = LadderWithLevels(4);
+  const uint32_t clients = 8;
+  for (uint32_t i = 1; i <= clients; ++i) {
+    const ClientId id{i};
+    // Client 1 cannot publish 720p (its floor is 900 kbps) but fits
+    // 360p + 180p, so every solve removes exactly one resolution.
+    problem.budgets.push_back(
+        {id, DataRate::KilobitsPerSec(i == 1 ? 600 : 6000),
+         DataRate::KilobitsPerSec(8000)});
+    problem.capabilities.push_back({{id, SourceKind::kCamera}, ladder});
+  }
+  for (uint32_t s = 1; s <= clients; ++s) {
+    for (uint32_t p = 1; p <= clients; ++p) {
+      if (s == p) continue;
+      problem.subscriptions.push_back({ClientId{s},
+                                       {ClientId{p}, SourceKind::kCamera},
+                                       kResolution720p,
+                                       1.0,
+                                       0});
+    }
+  }
+
+  const Solution first = warm.Solve(SolveRequest::Warm(problem));
+  ASSERT_EQ(first.stats.reductions, 1);
+  EXPECT_EQ(first.stats.step1_cache_hits, 0);
+
+  // Iteration 1 replays every subscriber; iteration 2 replays the seven
+  // watchers of client 1. Only Step-3 repair knapsacks run again.
+  const Solution second = warm.Solve(SolveRequest::Warm(problem));
+  EXPECT_EQ(second.stats.dirty_subscribers, 0);
+  EXPECT_EQ(second.stats.reductions, 1);
+  EXPECT_EQ(second.stats.step1_cache_hits,
+            static_cast<int>(clients + (clients - 1)));
+  EXPECT_EQ(second.stats.knapsack_solves,
+            first.stats.knapsack_solves - second.stats.step1_cache_hits);
+  const DpMckpSolver fresh_solver;
+  const Orchestrator cold(&fresh_solver);
+  ExpectBitIdentical(second, cold.Solve(SolveRequest::Cold(problem)),
+                     "reducing-resolve", 0);
+}
+
 // ResetWarmState drops the caches: the next warm solve is a full re-solve
 // (every subscriber dirty) but still produces the identical solution.
 TEST(WarmSolve, ResetForcesFullResolve) {

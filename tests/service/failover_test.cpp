@@ -19,7 +19,6 @@ namespace {
 ServiceConfig FourShardConfig() {
   ServiceConfig config;
   config.num_shards = 4;
-  config.solver_threads_per_shard = 1;
   config.max_conferences = 16;
   config.parallel_shards = false;
   return config;
@@ -252,12 +251,11 @@ TEST(Failover, GossipRetriesAndTimesOutOnLossyControlLinks) {
 // One mini fleet under churn plus a scripted shard-outage storm: a timed
 // whole-shard crash (victims evacuated, shard revives empty) overlapping a
 // permanent one. Returns the order-sensitive fleet digest.
-uint64_t RunFaultedFleet(bool parallel_shards, int solver_threads,
-                         uint64_t gossip_seed, double gossip_loss,
+uint64_t RunFaultedFleet(bool parallel_shards, uint64_t gossip_seed,
+                         double gossip_loss,
                          FailoverCounters* counters = nullptr) {
   ServiceConfig config;
   config.num_shards = 4;
-  config.solver_threads_per_shard = solver_threads;
   config.max_conferences = 16;
   config.solve_backlog = 2;
   config.parallel_shards = parallel_shards;
@@ -286,24 +284,22 @@ TEST(Failover, FleetDigestInvariantToShardScheduling) {
   // All cross-shard mutation (gossip delivery, crashes, failover,
   // rebalance, record sweeps) happens between slices in shard-index order,
   // so the fleet history is bit-identical whether the shard slices run
-  // sequentially or on parallel threads, at any solver pool width — even
-  // with lossy gossip links, whose drops live on the control loop's own
-  // seeded streams.
+  // sequentially or on parallel threads — even with lossy gossip links,
+  // whose drops live on the control loop's own seeded streams.
   FailoverCounters counters;
-  const uint64_t sequential = RunFaultedFleet(false, 1, 1, 0.02, &counters);
+  const uint64_t sequential = RunFaultedFleet(false, 1, 0.02, &counters);
   EXPECT_EQ(counters.shard_crashes, 2u);
   EXPECT_GE(counters.conferences_rehomed, 1u);
   EXPECT_EQ(counters.shard_restarts, 1u);
-  EXPECT_EQ(sequential, RunFaultedFleet(true, 1, 1, 0.02));
-  EXPECT_EQ(sequential, RunFaultedFleet(true, 2, 1, 0.02));
+  EXPECT_EQ(sequential, RunFaultedFleet(true, 1, 0.02));
 }
 
 TEST(Failover, FleetDigestInvariantAcrossGossipSeedsWhenDeliveryMatches) {
   // The gossip seed only feeds the control links' loss draws. With lossless
   // links every seed yields identical delivery outcomes, so the fleet
   // digest cannot depend on the seed value itself.
-  EXPECT_EQ(RunFaultedFleet(false, 1, /*gossip_seed=*/1, /*gossip_loss=*/0.0),
-            RunFaultedFleet(false, 1, /*gossip_seed=*/99, /*gossip_loss=*/0.0));
+  EXPECT_EQ(RunFaultedFleet(false, /*gossip_seed=*/1, /*gossip_loss=*/0.0),
+            RunFaultedFleet(false, /*gossip_seed=*/99, /*gossip_loss=*/0.0));
 }
 
 }  // namespace

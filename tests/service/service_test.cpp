@@ -19,7 +19,6 @@ namespace {
 ServiceConfig SmallConfig() {
   ServiceConfig config;
   config.num_shards = 2;
-  config.solver_threads_per_shard = 1;
   config.max_conferences = 4;
   config.parallel_shards = false;
   return config;
@@ -90,10 +89,9 @@ TEST(OrchestrationService, ReportAggregatesCompletedOutcomes) {
 // One mini fleet under churn, fault waves, and a backlog tight enough to
 // force shedding. Returns the order-sensitive digest of every completed
 // outcome's bits.
-uint64_t RunMiniFleet(bool parallel_shards, int solver_threads) {
+uint64_t RunMiniFleet(bool parallel_shards) {
   ServiceConfig config;
   config.num_shards = 2;
-  config.solver_threads_per_shard = solver_threads;
   config.max_conferences = 8;
   config.solve_backlog = 2;  // force displacement/rejection shedding
   config.parallel_shards = parallel_shards;
@@ -114,16 +112,15 @@ uint64_t RunMiniFleet(bool parallel_shards, int solver_threads) {
 }
 
 TEST(OrchestrationService, FleetDigestIsReproducible) {
-  EXPECT_EQ(RunMiniFleet(false, 1), RunMiniFleet(false, 1));
+  EXPECT_EQ(RunMiniFleet(false), RunMiniFleet(false));
 }
 
 TEST(OrchestrationService, FleetDigestInvariantToThreadingChoices) {
   // Shed/admission decisions depend only on virtual-time arrival order,
   // so the fleet history is bit-identical whether shards run sequentially
-  // or on parallel threads, and at any solver pool width.
-  const uint64_t sequential = RunMiniFleet(false, 1);
-  EXPECT_EQ(sequential, RunMiniFleet(true, 1));
-  EXPECT_EQ(sequential, RunMiniFleet(true, 2));
+  // or on parallel threads.
+  const uint64_t sequential = RunMiniFleet(false);
+  EXPECT_EQ(sequential, RunMiniFleet(true));
 }
 
 TEST(OrchestrationService, ExportsPerShardMetrics) {
@@ -195,7 +192,6 @@ TEST(OrchestrationService, ExportsGossipAndFailoverMetrics) {
 // no freed conference may be touched (ASan enforces the latter).
 TEST(OrchestrationService, MidBatchShutdownLeavesNoStrayCommits) {
   ShardConfig config;
-  config.solver_threads = 1;
   config.solve_backlog = 8;
   auto shard = std::make_unique<Shard>(config);
   ConferenceSpec spec;
@@ -237,6 +233,16 @@ TEST(FleetModel, ParsePositiveIntAcceptsOnlyPositiveDecimals) {
 TEST(FleetModel, ConfsPerDayFromEnvFallsBackWhenUnset) {
   unsetenv("GSO_FLEET_CONFS_PER_DAY");
   EXPECT_EQ(ConfsPerDayFromEnv(250), 250);
+}
+
+// Shards drain their solve queues serially; the per-shard solver thread
+// count survives only as a field that must stay 1.
+TEST(OrchestrationServiceDeathTest, SolverThreadsPerShardMustBeOne) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ServiceConfig config = SmallConfig();
+  config.solver_threads_per_shard = 2;
+  EXPECT_DEATH(OrchestrationService service(config),
+               "solver_threads_per_shard");
 }
 
 TEST(FleetModel, ConfsPerDayFromEnvReadsOverride) {

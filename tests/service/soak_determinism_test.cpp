@@ -19,7 +19,6 @@ namespace {
 uint64_t RunHourFleet(bool parallel_shards) {
   ServiceConfig config;
   config.num_shards = 2;
-  config.solver_threads_per_shard = 2;
   config.max_conferences = 2;
   config.solve_backlog = 4;
   config.parallel_shards = parallel_shards;

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "conference/conference.h"
 #include "conference/scenarios.h"
 #include "sim/event_loop.h"
@@ -70,8 +69,7 @@ TEST(SolveQueue, BacklogBoundShedsAndShedNodesRetry) {
   EXPECT_EQ(queue.stats().accepted, 2u);
   EXPECT_EQ(queue.stats().shed_rejected, 1u);
 
-  ThreadPool pool(2);
-  queue.Drain(pool);
+  queue.Drain();
   EXPECT_EQ(queue.depth(), 0);
   EXPECT_FALSE(c1->control().solve_in_flight());
   EXPECT_FALSE(c2->control().solve_in_flight());
@@ -84,7 +82,7 @@ TEST(SolveQueue, BacklogBoundShedsAndShedNodesRetry) {
   const int before = c3->control().orchestration_count();
   for (int i = 0; i < 10; ++i) {
     loop.RunFor(TimeDelta::Millis(200));
-    queue.Drain(pool);
+    queue.Drain();
   }
   EXPECT_GT(c3->control().orchestration_count(), before);
 }
@@ -133,8 +131,7 @@ TEST(SolveQueue, HigherClassDisplacesWorstQueuedEntry) {
   EXPECT_EQ(queue.stats().shed_rejected, 1u);
   EXPECT_EQ(queue.depth(), 2);
 
-  ThreadPool pool(2);
-  queue.Drain(pool);
+  queue.Drain();
   EXPECT_EQ(queue.stats().solved, 2u);
   EXPECT_FALSE(large->control().solve_in_flight());
   EXPECT_FALSE(degraded->control().solve_in_flight());
@@ -176,8 +173,7 @@ TEST(SolveQueue, DisplacingStaleOwnerEntryDoesNotTouchFreedConference) {
   EXPECT_EQ(queue.stats().stale_dropped, 1u);
   EXPECT_EQ(queue.stats().shed_displaced, 0u);
 
-  ThreadPool pool(2);
-  queue.Drain(pool);
+  queue.Drain();
   EXPECT_EQ(queue.stats().solved, 1u);
   EXPECT_FALSE(degraded->control().solve_in_flight());
 }
@@ -200,8 +196,7 @@ TEST(SolveQueue, DrainDropsStaleOwnerEntries) {
 
   doomed.reset();
 
-  ThreadPool pool(2);
-  queue.Drain(pool);
+  queue.Drain();
   EXPECT_EQ(queue.depth(), 0);
   EXPECT_EQ(queue.stats().solved, 1u);
   EXPECT_EQ(queue.stats().stale_dropped, 1u);

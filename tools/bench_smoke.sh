@@ -375,7 +375,7 @@ print(f"bench_smoke: OK (fleet trace spans {len(shards)} shards)")
 EOF
   # Wider tolerance than the controller gate: the fleet rows include
   # wall-clock queue-latency p99s whose run-to-run spread on a shared
-  # 1-CPU runner is ~±35% (tail latency of 8 solver threads time-slicing
+  # 1-CPU runner is ~±35% (tail latency of 4 shard threads time-slicing
   # one core). The median normalization still catches a systematic
   # regression; the tolerance only has to clear the tail noise.
   if [[ -s "${FLEET_BASELINE}" ]]; then
