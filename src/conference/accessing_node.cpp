@@ -9,9 +9,6 @@
 namespace gso::conference {
 namespace {
 
-constexpr uint8_t kAudioPayloadType = 111;
-constexpr uint8_t kPaddingPayloadType = 127;
-constexpr int64_t kUdpIpOverheadBytes = 28;
 constexpr TimeDelta kRtcpInterval = TimeDelta::Millis(100);
 constexpr TimeDelta kSelectionInterval = TimeDelta::Millis(500);
 constexpr TimeDelta kGtbrRetryInterval = TimeDelta::Millis(200);
@@ -19,13 +16,10 @@ constexpr int kGtbrMaxAttempts = 15;
 constexpr TimeDelta kStaleLayerTimeout = TimeDelta::Seconds(2);
 constexpr TimeDelta kDownlinkReportPeriod = TimeDelta::Millis(500);
 constexpr double kDownlinkReportEventThreshold = 0.10;
-
-bool IsRtcp(const sim::Packet& packet) {
-  // RTCP PT range is [200, 206]; an RTP byte-1 is marker|payload_type,
-  // which is <= 127 (no marker) or >= 224 (marker, PT >= 96).
-  return packet.data.size() >= 2 && packet.data[1] >= 200 &&
-         packet.data[1] <= 206;
-}
+// Audio is not orchestrated by GSO, but production SFUs still bound the
+// fan-out to the top-N active speakers; with no loudness signal in the
+// simulation the N lowest client ids are the deterministic proxy.
+constexpr int kMaxAudioFanout = 5;
 
 }  // namespace
 
@@ -38,10 +32,8 @@ void AccessingNode::AttachClient(Client* client, sim::Link* downlink) {
   GSO_CHECK(client != nullptr && downlink != nullptr);
   transport::BweConfig config;
   config.start_rate = DataRate::KilobitsPerSec(500);
-  auto attached = std::make_unique<AttachedClient>(config);
-  attached->client = client;
-  attached->downlink = downlink;
-  clients_[client->id()] = std::move(attached);
+  clients_[client->id()] = std::make_unique<AttachedClient>(
+      loop_, client, downlink, config, Ssrc(0xF1000000u | id_.value()));
 }
 
 void AccessingNode::ConnectPeer(AccessingNode* peer, sim::Link* link) {
@@ -67,7 +59,7 @@ void AccessingNode::Start() {
 DataRate AccessingNode::DownlinkEstimate(ClientId client) const {
   const auto it = clients_.find(client);
   return it == clients_.end() ? DataRate::Zero()
-                              : it->second->bwe.target_rate();
+                              : it->second->downlink.bwe().target_rate();
 }
 
 // --- Ingress ---------------------------------------------------------------
@@ -77,7 +69,7 @@ void AccessingNode::OnClientPacket(ClientId from, const sim::Packet& packet) {
   const auto attached = clients_.find(from);
   if (attached == clients_.end()) return;
 
-  if (IsRtcp(packet)) {
+  if (net::IsRtcp(packet.data)) {
     HandleClientRtcp(from, packet.data);
     return;
   }
@@ -87,13 +79,13 @@ void AccessingNode::OnClientPacket(ClientId from, const sim::Packet& packet) {
     attached->second->uplink_feedback.OnPacketArrived(
         *parsed->transport_sequence, loop_->Now());
   }
-  if (parsed->payload_type == kPaddingPayloadType) return;
+  if (parsed->payload_type == net::kPaddingPayloadType) return;
   HandleMediaPacket(*parsed, packet, /*from_peer=*/false);
 }
 
 void AccessingNode::OnPeerPacket(NodeId /*from*/, const sim::Packet& packet) {
   if (!alive_) return;
-  if (IsRtcp(packet)) {
+  if (net::IsRtcp(packet.data)) {
     // Cross-node control relay (NACK/PLI toward a publisher homed here).
     for (const auto& message : net::ParseCompound(packet.data)) {
       if (const auto* nack = std::get_if<net::Nack>(&message)) {
@@ -116,7 +108,7 @@ void AccessingNode::HandleMediaPacket(const net::RtpPacket& packet,
                                       bool from_peer) {
   const Timestamp now = loop_->Now();
 
-  if (packet.payload_type == kAudioPayloadType) {
+  if (packet.payload_type == net::kAudioPayloadType) {
     // Audio is not orchestrated, but its fan-out is bounded to the top-N
     // active speakers (deterministic lowest-id proxy for loudness).
     const auto info = directory_->Lookup(packet.ssrc);
@@ -135,7 +127,7 @@ void AccessingNode::HandleMediaPacket(const net::RtpPacket& packet,
       if (owner == info->owner) break;
       ++rank;
     }
-    if (rank >= max_audio_fanout_) return;
+    if (rank >= kMaxAudioFanout) return;
     for (auto& [client_id, attached] : clients_) {
       if (client_id != info->owner) ForwardToSubscriber(packet, client_id);
     }
@@ -235,7 +227,7 @@ void AccessingNode::ForwardToSubscriber(const net::RtpPacket& packet,
   const auto it = clients_.find(subscriber);
   if (it == clients_.end()) return;
   auto& attached = *it->second;
-  if (packet.payload_type != kAudioPayloadType) {
+  if (packet.payload_type != net::kAudioPayloadType) {
     const auto paused = attached.paused.find(packet.ssrc);
     if (paused != attached.paused.end()) {
       if (loop_->Now() < paused->second) {
@@ -244,18 +236,7 @@ void AccessingNode::ForwardToSubscriber(const net::RtpPacket& packet,
       attached.paused.erase(paused);
     }
   }
-  net::RtpPacket out = packet;
-  out.transport_sequence = attached.next_transport_seq++;
-  const auto data = out.Serialize();
-  const int64_t wire =
-      static_cast<int64_t>(out.WireSize()) + kUdpIpOverheadBytes;
-  attached.bwe.OnPacketSent(*out.transport_sequence, loop_->Now(),
-                            DataSize::Bytes(wire));
-  sim::Packet sp;
-  sp.data = data;
-  sp.wire_size = DataSize::Bytes(wire);
-  sp.first_send_time = loop_->Now();
-  attached.downlink->Send(std::move(sp));
+  attached.downlink.SendRtp(packet);
 }
 
 void AccessingNode::ForwardToPeers(const sim::Packet& wire, Ssrc ssrc) {
@@ -283,7 +264,7 @@ void AccessingNode::HandleClientRtcp(ClientId from,
   auto& attached = *clients_.at(from);
   for (const auto& message : net::ParseCompound(data)) {
     if (const auto* fb = std::get_if<net::TransportFeedback>(&message)) {
-      attached.bwe.OnFeedback(*fb, loop_->Now());
+      attached.downlink.bwe().OnFeedback(*fb, loop_->Now());
       ReportDownlink(from, /*force=*/false);
     } else if (const auto* semb = std::get_if<net::Semb>(&message)) {
       if (control_) control_->OnSembReport(from, semb->bitrate);
@@ -320,9 +301,7 @@ void AccessingNode::RelayToPublisher(Ssrc media_ssrc,
   const auto info = directory_->Lookup(media_ssrc);
   if (!info) return;
   if (clients_.count(info->owner)) {
-    std::vector<net::RtcpMessage> batch;
-    batch.push_back(std::move(message));
-    SendRtcpToClient(info->owner, std::move(batch));
+    SendRtcpToClient(info->owner, {std::move(message)});
     return;
   }
   if (!node_of_) return;
@@ -330,27 +309,16 @@ void AccessingNode::RelayToPublisher(Ssrc media_ssrc,
   if (home == nullptr || home == this) return;
   const auto peer = peers_.find(home->id());
   if (peer == peers_.end()) return;
-  auto data = net::SerializeCompound({message});
-  sim::Packet sp;
-  sp.wire_size = DataSize::Bytes(static_cast<int64_t>(data.size()) +
-                                 kUdpIpOverheadBytes);
-  sp.data = std::move(data);
-  sp.first_send_time = loop_->Now();
-  peer->second.second->Send(std::move(sp));
+  transport::SendDatagram(*peer->second.second, loop_->Now(),
+                          net::SerializeCompound({message}));
 }
 
-void AccessingNode::SendRtcpToClient(ClientId client,
-                                     std::vector<net::RtcpMessage> messages) {
+void AccessingNode::SendRtcpToClient(
+    ClientId client, const std::vector<net::RtcpMessage>& messages) {
   if (messages.empty()) return;
   const auto it = clients_.find(client);
   if (it == clients_.end()) return;
-  auto data = net::SerializeCompound(messages);
-  sim::Packet sp;
-  sp.wire_size = DataSize::Bytes(static_cast<int64_t>(data.size()) +
-                                 kUdpIpOverheadBytes);
-  sp.data = std::move(data);
-  sp.first_send_time = loop_->Now();
-  it->second->downlink->Send(std::move(sp));
+  it->second->downlink.SendRtcp(messages);
 }
 
 // --- Periodic work -----------------------------------------------------
@@ -358,7 +326,7 @@ void AccessingNode::SendRtcpToClient(ClientId client,
 void AccessingNode::OnRtcpTick() {
   if (!alive_) return;  // frozen while dead; the timer itself keeps ticking
   const Timestamp now = loop_->Now();
-  const Ssrc node_ssrc(0xF0000000u | id_.value());
+  const Ssrc node_ssrc = ControlSsrc();
 
   // Liveness signal to the controller (it declares this node dead after
   // node_heartbeat_timeout of silence and re-homes our clients).
@@ -429,13 +397,14 @@ void AccessingNode::EnforceDownlinkLimit(ClientId client) {
   // controller reconciles with a new forwarding table.
   auto& attached = *clients_.at(client);
   const Timestamp now = loop_->Now();
-  const DataRate estimate = attached.bwe.target_rate();
+  const transport::SendSideBwe& bwe = attached.downlink.bwe();
+  const DataRate estimate = bwe.target_rate();
   // The brake needs *observable* congestion — heavy residual loss or a
   // standing queue — not a stale estimate-vs-flow mismatch: during ramps
   // the estimate routinely lags what the link demonstrably carries, and
   // pausing then would itself create the freeze it tries to prevent.
-  const bool loss_emergency = attached.bwe.loss_fraction() > 0.35;
-  const bool queue_emergency = attached.bwe.StandingQueue();
+  const bool loss_emergency = bwe.loss_fraction() > 0.35;
+  const bool queue_emergency = bwe.StandingQueue();
   if (!loss_emergency && !queue_emergency) return;
 
   // Measure the unpaused video currently flowing toward this subscriber.
@@ -479,54 +448,28 @@ void AccessingNode::EnforceDownlinkLimit(ClientId client) {
 
 void AccessingNode::MaybeProbeDownlink(ClientId client) {
   if (!probing_enabled_) return;
-  auto& attached = *clients_.at(client);
+  auto& downlink = clients_.at(client)->downlink;
   const Timestamp now = loop_->Now();
-  if (!attached.bwe.WantsProbe(now)) return;
-  attached.bwe.OnProbeSent(now);
-  const int cluster = attached.next_probe_cluster++;
+  if (!downlink.bwe().WantsProbe(now)) return;
+  const int cluster = downlink.StartProbe(now);
   const DataRate probe_rate =
-      attached.bwe.target_rate() * transport::kProbeRateFactor;
+      downlink.bwe().target_rate() * transport::kProbeRateFactor;
   const DataSize size = DataSize::Bytes(transport::kProbePacketBytes);
   TimeDelta offset = TimeDelta::Zero();
   for (int i = 0; i < transport::kProbePacketCount; ++i) {
+    // The client may have left (or re-attached) before the timer fires.
     loop_->After(offset, [this, client, cluster] {
-      SendProbePadding(client, cluster);
+      const auto it = clients_.find(client);
+      if (it != clients_.end()) it->second->downlink.SendPadding(cluster);
     });
     offset += size / probe_rate;
   }
 }
 
-void AccessingNode::SendProbePadding(ClientId client, int cluster) {
-  const auto it = clients_.find(client);
-  if (it == clients_.end()) return;
-  auto& attached = *it->second;
-  net::RtpPacket padding;
-  padding.payload_type = 127;  // padding: receivers feed TWCC only
-  padding.ssrc = Ssrc(0xF1000000u | id_.value());
-  padding.sequence_number = attached.padding_seq++;
-  padding.payload_size = transport::kProbePacketBytes;
-  padding.packets_in_frame = 1;
-  padding.transport_sequence = attached.next_transport_seq++;
-  const auto data = padding.Serialize();
-  const int64_t wire =
-      static_cast<int64_t>(padding.WireSize()) + kUdpIpOverheadBytes;
-  attached.bwe.OnPacketSent(*padding.transport_sequence, loop_->Now(),
-                            DataSize::Bytes(wire), cluster);
-  sim::Packet sp;
-  sp.data = data;
-  sp.wire_size = DataSize::Bytes(wire);
-  sp.first_send_time = loop_->Now();
-  attached.downlink->Send(std::move(sp));
-}
-
 void AccessingNode::ReportDownlink(ClientId client, bool force) {
   if (!control_) return;
   auto& attached = *clients_.at(client);
-  // Discount the report by the residual loss: on a lossy downlink the
-  // controller should allocate smaller streams (fewer packets per frame)
-  // so retransmission can keep up — the budget FEC would otherwise claim.
-  const double loss = std::min(attached.bwe.loss_fraction(), 0.6);
-  const DataRate estimate = attached.bwe.target_rate() * (1.0 - 0.8 * loss);
+  const DataRate estimate = attached.downlink.bwe().ReportedRate();
   const bool significant =
       attached.last_reported.IsZero() ||
       std::abs(estimate.bps() - attached.last_reported.bps()) >
@@ -545,7 +488,7 @@ void AccessingNode::OnSelectionTick() {
   if (mode_ != ControlMode::kTemplate && !degraded_) return;
   const Timestamp now = loop_->Now();
   for (auto& [subscriber_id, attached] : clients_) {
-    DataRate budget = attached->bwe.target_rate();
+    DataRate budget = attached->downlink.bwe().target_rate();
     std::map<ClientId, Ssrc> new_selection;
     // Greedy sequential allocation over publishers — the "fragmented view"
     // behaviour that produces Fig. 3c's uneven split.
@@ -575,8 +518,7 @@ void AccessingNode::OnSelectionTick() {
     for (const auto& [publisher, ssrc] : new_selection) {
       const auto prev = attached->selected.find(publisher);
       if (prev == attached->selected.end() || prev->second != ssrc) {
-        RelayToPublisher(ssrc,
-                         net::Pli{Ssrc(0xF0000000u | id_.value()), ssrc});
+        RelayToPublisher(ssrc, net::Pli{ControlSsrc(), ssrc});
       }
     }
     attached->selected = std::move(new_selection);
@@ -636,8 +578,7 @@ void AccessingNode::SetForwarding(
           std::find(old->second.begin(), old->second.end(), subscriber) !=
               old->second.end();
       if (!existed) {
-        RelayToPublisher(ssrc, net::Pli{Ssrc(0xF0000000u | id_.value()),
-                                        ssrc});
+        RelayToPublisher(ssrc, net::Pli{ControlSsrc(), ssrc});
       }
     }
   }
@@ -652,18 +593,16 @@ void AccessingNode::SendGsoTmmbr(ClientId publisher,
   if (it == clients_.end()) return;
   auto& attached = *it->second;
   net::GsoTmmbr message;
-  message.sender_ssrc = Ssrc(0xF0000000u | id_.value());
+  message.sender_ssrc = ControlSsrc();
   message.request_id = attached.next_request_id++;
   message.epoch = epoch;
   message.entries = std::move(entries);
   attached.pending_gtbr =
       AttachedClient::PendingGtbr{std::move(message), Timestamp::Zero(), 0};
   // First transmission goes out immediately rather than on the next tick.
-  std::vector<net::RtcpMessage> batch;
   attached.pending_gtbr->attempts = 1;
   attached.pending_gtbr->last_sent = loop_->Now();
-  batch.push_back(attached.pending_gtbr->message);
-  SendRtcpToClient(publisher, std::move(batch));
+  SendRtcpToClient(publisher, {attached.pending_gtbr->message});
 }
 
 void AccessingNode::OnClientLeft(ClientId client,

@@ -35,8 +35,8 @@
 #include "sim/event_loop.h"
 #include "sim/link.h"
 #include "sim/process.h"
+#include "transport/egress.h"
 #include "transport/feedback_builder.h"
-#include "transport/send_side_bwe.h"
 
 namespace gso::conference {
 
@@ -107,19 +107,9 @@ class AccessingNode : public sim::CrashableProcess {
   // Downlink probing toggle (ablation: paper §7 over-estimation lesson).
   void SetProbingEnabled(bool enabled) { probing_enabled_ = enabled; }
 
-  // Audio is not orchestrated by GSO, but production SFUs still bound the
-  // fan-out to the top-N active speakers; with no loudness signal in the
-  // simulation we use the N lowest client ids as the deterministic proxy.
-  void SetMaxAudioFanout(int max_streams) { max_audio_fanout_ = max_streams; }
-
   NodeId id() const { return id_; }
   bool IsAttached(ClientId client) const { return clients_.count(client) > 0; }
   DataRate DownlinkEstimate(ClientId client) const;
-  // Full downlink BWE of one attached client (diagnostics / benches).
-  const transport::SendSideBwe* DownlinkBwe(ClientId client) const {
-    const auto it = clients_.find(client);
-    return it == clients_.end() ? nullptr : &it->second->bwe;
-  }
   int gtbr_retransmissions() const { return gtbr_retransmissions_; }
 
   // Sizes of every run-lifetime table, for soak-harness invariants: under
@@ -140,10 +130,8 @@ class AccessingNode : public sim::CrashableProcess {
  private:
   struct AttachedClient {
     Client* client = nullptr;
-    sim::Link* downlink = nullptr;
-    transport::SendSideBwe bwe;
+    transport::Egress downlink;
     transport::FeedbackBuilder uplink_feedback;
-    uint16_t next_transport_seq = 0;
     DataRate last_reported;
     // Reliable GTBR state.
     struct PendingGtbr {
@@ -153,9 +141,6 @@ class AccessingNode : public sim::CrashableProcess {
     };
     std::optional<PendingGtbr> pending_gtbr;
     uint32_t next_request_id = 1;
-    // Downlink probing state (bandwidth upper-bound discovery).
-    int next_probe_cluster = 1;
-    uint16_t padding_seq = 0;
     // Local-mode interest and current selection per publisher.
     std::vector<ClientId> interest;
     std::map<ClientId, Ssrc> selected;
@@ -164,7 +149,9 @@ class AccessingNode : public sim::CrashableProcess {
     // their deadline or when the controller re-coordinates.
     std::map<Ssrc, Timestamp> paused;  // ssrc -> pause expiry
 
-    explicit AttachedClient(transport::BweConfig config) : bwe(config) {}
+    AttachedClient(sim::EventLoop* loop, Client* client, sim::Link* link,
+                   transport::BweConfig config, Ssrc padding_ssrc)
+        : client(client), downlink(loop, config, padding_ssrc, link) {}
   };
 
   struct UplinkStreamState {
@@ -181,20 +168,24 @@ class AccessingNode : public sim::CrashableProcess {
   void ForwardToSubscriber(const net::RtpPacket& packet, ClientId subscriber);
   void ForwardToPeers(const sim::Packet& wire, Ssrc ssrc);
   void SendRtcpToClient(ClientId client,
-                        std::vector<net::RtcpMessage> messages);
+                        const std::vector<net::RtcpMessage>& messages);
   void RelayToPublisher(Ssrc media_ssrc, net::RtcpMessage message);
   // Downlink bandwidth probing: short paced bursts of padding packets
   // toward one client, so the downlink estimate can rise past what the
   // currently forwarded media demonstrates (mirrors the paper's probing
   // lesson, §7, on the server side).
   void MaybeProbeDownlink(ClientId client);
-  void SendProbePadding(ClientId client, int cluster);
   // Local downlink congestion safety between controller updates: pause the
   // largest instructed layers when the estimate drops below what is being
   // forwarded (the SFU-side analogue of the client's local limit).
   void EnforceDownlinkLimit(ClientId client);
   std::vector<ClientId> SubscribersOf(Ssrc ssrc) const;
   void ReportDownlink(ClientId client, bool force);
+  // Sender SSRC of this node's own RTCP (feedback, NACK, PLI, GTBR).
+  // SSRCs outside the directory are reserved per sender: client probe
+  // padding 0x80000000|client id, node control 0xF0000000|node id, node
+  // probe padding 0xF1000000|node id.
+  Ssrc ControlSsrc() const { return Ssrc(0xF0000000u | id_.value()); }
 
   sim::EventLoop* loop_;
   NodeId id_;
@@ -223,7 +214,6 @@ class AccessingNode : public sim::CrashableProcess {
   // When the controller last pushed a forwarding table (watchdog input).
   Timestamp last_forwarding_time_ = Timestamp::Zero();
   bool probing_enabled_ = true;
-  int max_audio_fanout_ = 5;
   // Recently active audio publishers, for the fan-out bound.
   std::map<ClientId, Timestamp> audio_publishers_;
   Timestamp last_downlink_report_ = Timestamp::Zero();

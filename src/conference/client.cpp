@@ -8,10 +8,6 @@
 namespace gso::conference {
 namespace {
 
-constexpr uint8_t kVideoPayloadType = 96;
-constexpr uint8_t kAudioPayloadType = 111;
-constexpr uint8_t kPaddingPayloadType = 127;
-constexpr int64_t kUdpIpOverheadBytes = 28;
 constexpr TimeDelta kRtcpInterval = TimeDelta::Millis(100);
 constexpr TimeDelta kPolicyInterval = TimeDelta::Seconds(1);
 constexpr TimeDelta kPliMinInterval = TimeDelta::Millis(300);
@@ -21,17 +17,9 @@ constexpr double kSembEventThreshold = 0.10;  // 10% change fires a report
 // Client::TrimQoeHistoryBefore).
 constexpr TimeDelta kDeadStreamIdle = TimeDelta::Seconds(30);
 
-// Padding SSRCs live outside the directory so nodes do not forward them.
+// Padding SSRCs live outside the directory so nodes do not forward them
+// (reserved ranges: see AccessingNode::ControlSsrc).
 Ssrc PaddingSsrc(ClientId id) { return Ssrc(0x80000000u | id.value()); }
-
-sim::Packet MakeSimPacket(std::vector<uint8_t> data, int64_t wire_bytes,
-                          Timestamp now) {
-  sim::Packet p;
-  p.data = std::move(data);
-  p.wire_size = DataSize::Bytes(wire_bytes);
-  p.first_send_time = now;
-  return p;
-}
 
 }  // namespace
 
@@ -40,7 +28,7 @@ Client::Client(sim::EventLoop* loop, ClientConfig config, Rng rng)
       config_(std::move(config)),
       rng_(rng),
       pacer_(loop, config_.bwe.start_rate),
-      uplink_bwe_(config_.bwe),
+      egress_(loop, config_.bwe, PaddingSsrc(config_.id)),
       template_policy_(
           baseline::TemplatePolicyConfig{config_.template_kind,
                                          TimeDelta::Seconds(1)}) {
@@ -86,7 +74,7 @@ void Client::ConfigureStreams(std::vector<Ssrc> camera_layer_ssrcs,
 
 void Client::Start() {
   GSO_CHECK(!started_);
-  GSO_CHECK(uplink_ != nullptr);
+  GSO_CHECK(egress_.link() != nullptr);
   GSO_CHECK(directory_ != nullptr);
   started_ = true;
   stopped_ = false;
@@ -143,7 +131,7 @@ void Client::OnCameraFrameTick() {
     }
     const Ssrc ssrc = camera_ssrcs_[static_cast<size_t>(frame.layer_index)];
     for (auto& packet : packetizer_.Packetize(ssrc, frame)) {
-      packet.payload_type = kVideoPayloadType;
+      packet.payload_type = net::kVideoPayloadType;
       SendRtp(std::move(packet), /*pace=*/true);
     }
   }
@@ -157,7 +145,7 @@ void Client::OnScreenFrameTick() {
   for (const auto& frame : screen_encoder_->EncodeTick(loop_->Now())) {
     const Ssrc ssrc = screen_ssrcs_[static_cast<size_t>(frame.layer_index)];
     for (auto& packet : packetizer_.Packetize(ssrc, frame)) {
-      packet.payload_type = kVideoPayloadType;
+      packet.payload_type = net::kVideoPayloadType;
       SendRtp(std::move(packet), /*pace=*/true);
     }
   }
@@ -169,7 +157,7 @@ void Client::OnScreenFrameTick() {
 void Client::OnAudioTick() {
   const auto audio = audio_->NextPacket(loop_->Now());
   net::RtpPacket packet;
-  packet.payload_type = kAudioPayloadType;
+  packet.payload_type = net::kAudioPayloadType;
   packet.ssrc = audio.ssrc;
   packet.sequence_number = audio.sequence;
   // 48 kHz media clock carries the capture time so receivers can apply
@@ -186,38 +174,19 @@ void Client::OnAudioTick() {
 
 void Client::SendRtp(net::RtpPacket packet, bool pace) {
   if (!pace) {
-    TransmitRtp(packet, std::nullopt);
+    TransmitRtp(packet);
     return;
   }
-  const DataSize size =
-      DataSize::Bytes(static_cast<int64_t>(packet.WireSize()) + 8 +
-                      kUdpIpOverheadBytes);
-  pacer_.Enqueue(size, [this, packet = std::move(packet)](
-                           std::optional<int> probe) mutable {
-    TransmitRtp(packet, probe);
-  });
+  pacer_.Enqueue(transport::Egress::WireSize(packet),
+                 [this, packet = std::move(packet)](std::optional<int>) {
+                   TransmitRtp(packet);
+                 });
 }
 
-void Client::TransmitRtp(const net::RtpPacket& packet,
-                         std::optional<int> probe_cluster) {
-  net::RtpPacket out = packet;
-  out.transport_sequence = next_transport_seq_++;
-  const auto data = out.Serialize();
-  const int64_t wire =
-      static_cast<int64_t>(out.WireSize()) + kUdpIpOverheadBytes;
-  uplink_bwe_.OnPacketSent(*out.transport_sequence, loop_->Now(),
-                           DataSize::Bytes(wire), probe_cluster);
-  if (out.payload_type == kVideoPayloadType) send_cache_.Put(out);
+void Client::TransmitRtp(const net::RtpPacket& packet) {
   cpu_.AddPacketProcessed();
-  uplink_->Send(MakeSimPacket(data, wire, loop_->Now()));
-}
-
-void Client::SendRtcp(std::vector<net::RtcpMessage> messages) {
-  if (messages.empty()) return;
-  auto data = net::SerializeCompound(messages);
-  const int64_t wire = static_cast<int64_t>(data.size()) + kUdpIpOverheadBytes;
-  cpu_.AddControlMessage();
-  uplink_->Send(MakeSimPacket(std::move(data), wire, loop_->Now()));
+  const net::RtpPacket sent = egress_.SendRtp(packet);
+  if (sent.payload_type == net::kVideoPayloadType) send_cache_.Put(sent);
 }
 
 // --- Receive path -----------------------------------------------------
@@ -226,11 +195,7 @@ void Client::OnPacketFromNode(const sim::Packet& packet) {
   // In-flight packets may still arrive after the client left; a stopped
   // client neither decodes nor answers them.
   if (stopped_) return;
-  // RTCP compound packets carry PT in [200, 206] at byte offset 1. RTP
-  // packets there hold marker|payload_type: <= 127 without marker, >= 224
-  // with marker (PT >= 96), so the ranges never collide.
-  if (packet.data.size() >= 2 && packet.data[1] >= 200 &&
-      packet.data[1] <= 206) {
+  if (net::IsRtcp(packet.data)) {
     HandleRtcp(packet.data);
   } else {
     HandleRtp(packet);
@@ -246,9 +211,9 @@ void Client::HandleRtp(const sim::Packet& sim_packet) {
   if (parsed->transport_sequence) {
     feedback_builder_.OnPacketArrived(*parsed->transport_sequence, now);
   }
-  if (parsed->payload_type == kPaddingPayloadType) return;
+  if (parsed->payload_type == net::kPaddingPayloadType) return;
 
-  if (parsed->payload_type == kAudioPayloadType) {
+  if (parsed->payload_type == net::kAudioPayloadType) {
     auto& state = audio_received_[parsed->ssrc];
     state.first_arrival = std::min(state.first_arrival, now);
     state.last_arrival = std::max(state.last_arrival, now);
@@ -292,8 +257,8 @@ void Client::HandleRtcp(const std::vector<uint8_t>& data) {
   cpu_.AddControlMessage();
   for (const auto& message : net::ParseCompound(data)) {
     if (const auto* fb = std::get_if<net::TransportFeedback>(&message)) {
-      uplink_bwe_.OnFeedback(*fb, loop_->Now());
-      pacer_.SetTargetRate(uplink_bwe_.target_rate());
+      egress_.bwe().OnFeedback(*fb, loop_->Now());
+      pacer_.SetTargetRate(egress_.bwe().target_rate());
       MaybeSendSemb(/*force=*/false);
       EnforceLocalCongestionLimit();
     } else if (const auto* gtbr = std::get_if<net::GsoTmmbr>(&message)) {
@@ -301,7 +266,7 @@ void Client::HandleRtcp(const std::vector<uint8_t>& data) {
     } else if (const auto* nack = std::get_if<net::Nack>(&message)) {
       for (uint16_t seq : nack->sequences) {
         if (const auto cached = send_cache_.Get(nack->media_ssrc, seq)) {
-          TransmitRtp(*cached, std::nullopt);
+          TransmitRtp(*cached);
         }
       }
     } else if (const auto* pli = std::get_if<net::Pli>(&message)) {
@@ -341,7 +306,9 @@ void Client::OnRtcpTick() {
   }
   for (auto& m : pending_rtcp_) messages.push_back(std::move(m));
   pending_rtcp_.clear();
-  SendRtcp(std::move(messages));
+  if (messages.empty()) return;
+  cpu_.AddControlMessage();
+  egress_.SendRtcp(messages);
 }
 
 void Client::OnPolicyTick() {
@@ -397,7 +364,7 @@ void Client::ApplyGsoTmmbr(const net::GsoTmmbr& request) {
 
 void Client::ApplyTemplatePolicy() {
   const auto decisions = template_policy_.Decide(
-      uplink_bwe_.target_rate(), participant_count_);
+      egress_.bwe().target_rate(), participant_count_);
   // Map template decisions to camera layers by resolution.
   for (size_t i = 0; i < config_.camera.layers.size(); ++i) {
     DataRate target = DataRate::Zero();
@@ -412,7 +379,7 @@ void Client::ApplyTemplatePolicy() {
   // Template stacks drive the screen share locally too: a fixed-rate
   // stream whenever the uplink estimate nominally allows it.
   if (screen_encoder_ && !screen_ssrcs_.empty()) {
-    const DataRate uplink = uplink_bwe_.target_rate();
+    const DataRate uplink = egress_.bwe().target_rate();
     DataRate screen_rate = DataRate::Zero();
     if (uplink > DataRate::MegabitsPerSec(2)) {
       screen_rate = DataRate::MegabitsPerSecF(1.5);
@@ -430,10 +397,9 @@ void Client::EnforceLocalCongestionLimit() {
   // uplink estimate falls below their sum.
   DataRate total;
   for (const auto& [ssrc, rate] : granted_) total += rate;
+  const DataRate estimate = egress_.bwe().target_rate();
   double scale = 1.0;
-  if (!total.IsZero() && uplink_bwe_.target_rate() < total) {
-    scale = uplink_bwe_.target_rate() / total;
-  }
+  if (!total.IsZero() && estimate < total) scale = estimate / total;
   for (const auto& [ssrc, rate] : granted_) {
     const int layer = LayerIndexOf(ssrc);
     if (layer < 0) continue;
@@ -448,11 +414,7 @@ void Client::EnforceLocalCongestionLimit() {
 
 void Client::MaybeSendSemb(bool force) {
   const Timestamp now = loop_->Now();
-  // Loss-discounted report: on a lossy uplink the controller should grant
-  // smaller streams so retransmission keeps pace (see node-side analogue).
-  const double loss = std::min(uplink_bwe_.loss_fraction(), 0.6);
-  const DataRate estimate =
-      uplink_bwe_.target_rate() * (1.0 - 0.8 * loss);
+  const DataRate estimate = egress_.bwe().ReportedRate();
   const bool time_trigger = now - last_semb_time_ >= kSembTimeTrigger;
   const bool event_trigger =
       !last_semb_sent_.IsZero() &&
@@ -471,23 +433,16 @@ void Client::MaybeSendSemb(bool force) {
 void Client::MaybeProbe() {
   if (!config_.enable_probing) return;
   const Timestamp now = loop_->Now();
-  if (!uplink_bwe_.WantsProbe(now)) return;
-  uplink_bwe_.OnProbeSent(now);
-  const int cluster = next_probe_cluster_++;
+  if (!egress_.bwe().WantsProbe(now)) return;
+  const int cluster = egress_.StartProbe(now);
   const DataRate probe_rate =
-      uplink_bwe_.target_rate() * transport::kProbeRateFactor;
-  pacer_.SendProbeCluster(
-      cluster, probe_rate, transport::kProbePacketCount,
-      DataSize::Bytes(transport::kProbePacketBytes),
-      [this](std::optional<int> probe) {
-        net::RtpPacket padding;
-        padding.payload_type = kPaddingPayloadType;
-        padding.ssrc = PaddingSsrc(config_.id);
-        padding.sequence_number = padding_seq_++;
-        padding.payload_size = transport::kProbePacketBytes;
-        padding.packets_in_frame = 1;
-        TransmitRtp(padding, probe);
-      });
+      egress_.bwe().target_rate() * transport::kProbeRateFactor;
+  pacer_.SendProbeCluster(cluster, probe_rate, transport::kProbePacketCount,
+                          DataSize::Bytes(transport::kProbePacketBytes),
+                          [this](std::optional<int> probe) {
+                            cpu_.AddPacketProcessed();
+                            egress_.SendPadding(*probe);
+                          });
 }
 
 // --- Failure handling -------------------------------------------------
@@ -533,8 +488,6 @@ DataRate Client::current_publish_rate() const {
   if (screen_encoder_) total += screen_encoder_->TotalTargetRate();
   return total;
 }
-
-DataRate Client::encoder_target_rate() const { return current_publish_rate(); }
 
 int64_t Client::TotalFramesDecoded() const {
   int64_t total = 0;

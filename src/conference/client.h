@@ -43,9 +43,9 @@
 #include "net/sdp.h"
 #include "sim/event_loop.h"
 #include "sim/link.h"
+#include "transport/egress.h"
 #include "transport/feedback_builder.h"
 #include "transport/pacer.h"
-#include "transport/send_side_bwe.h"
 
 namespace gso::conference {
 
@@ -94,7 +94,7 @@ class Client {
   Client(sim::EventLoop* loop, ClientConfig config, Rng rng);
 
   // --- Wiring (called by the Conference harness) -----------------------
-  void SetUplink(sim::Link* uplink) { uplink_ = uplink; }
+  void SetUplink(sim::Link* uplink) { egress_.set_link(uplink); }
   void SetDirectory(const StreamDirectory* directory) {
     directory_ = directory;
   }
@@ -130,12 +130,11 @@ class Client {
   // --- Introspection ----------------------------------------------------
   ClientId id() const { return config_.id; }
   ControlMode mode() const { return config_.mode; }
-  DataRate uplink_estimate() const { return uplink_bwe_.target_rate(); }
-  const transport::SendSideBwe& uplink_bwe() const { return uplink_bwe_; }
+  DataRate uplink_estimate() const { return egress_.bwe().target_rate(); }
+  const transport::SendSideBwe& uplink_bwe() const { return egress_.bwe(); }
   const transport::Pacer& pacer() const { return pacer_; }
-  DataRate current_publish_rate() const;
   // Total rate the local encoders currently target (camera + screen).
-  DataRate encoder_target_rate() const;
+  DataRate current_publish_rate() const;
 
   // Aggregate receive-path counters for the observability sampler: sums
   // over all per-SSRC jitter buffers / per-view stall detectors.
@@ -248,9 +247,7 @@ class Client {
   void OnPolicyTick();
 
   void SendRtp(net::RtpPacket packet, bool pace);
-  void SendRtcp(std::vector<net::RtcpMessage> messages);
-  void TransmitRtp(const net::RtpPacket& packet,
-                   std::optional<int> probe_cluster);
+  void TransmitRtp(const net::RtpPacket& packet);
   void HandleRtcp(const std::vector<uint8_t>& data);
   void HandleRtp(const sim::Packet& packet);
   void ApplyGsoTmmbr(const net::GsoTmmbr& request);
@@ -267,7 +264,6 @@ class Client {
   sim::EventLoop* loop_;
   ClientConfig config_;
   Rng rng_;
-  sim::Link* uplink_ = nullptr;
   const StreamDirectory* directory_ = nullptr;
 
   // Send path.
@@ -275,14 +271,12 @@ class Client {
   std::unique_ptr<media::SimulatedEncoder> screen_encoder_;
   media::Packetizer packetizer_;
   transport::Pacer pacer_;
-  transport::SendSideBwe uplink_bwe_;
+  transport::Egress egress_;  // the uplink
   media::RtxCache send_cache_;
   std::optional<media::AudioSource> audio_;
   std::vector<Ssrc> camera_ssrcs_;
   std::vector<Ssrc> screen_ssrcs_;
   Ssrc audio_ssrc_;
-  uint16_t next_transport_seq_ = 0;
-  int next_probe_cluster_ = 1;
   // Controller-granted per-layer bitrates (GSO mode).
   std::map<Ssrc, DataRate> granted_;
   std::vector<bool> camera_layer_fault_;
@@ -310,7 +304,6 @@ class Client {
   media::CpuMeter cpu_;
   double last_camera_cost_ = 0.0;
   double last_screen_cost_ = 0.0;
-  uint16_t padding_seq_ = 0;
   bool started_ = false;
   bool stopped_ = false;
 };

@@ -391,7 +391,7 @@ void Conference::WireParticipantMetrics(ClientId id,
         registry->Get("media.encoder.target", MetricKind::kGauge, "bps",
                       labels),
         [client] {
-          return static_cast<double>(client->encoder_target_rate().bps());
+          return static_cast<double>(client->current_publish_rate().bps());
         });
     add_probe(
         registry->Get("media.jitter.frames_decoded", MetricKind::kCounter,

@@ -473,4 +473,8 @@ std::vector<RtcpMessage> ParseCompound(const std::vector<uint8_t>& data) {
   return out;
 }
 
+bool IsRtcp(const std::vector<uint8_t>& data) {
+  return data.size() >= 2 && data[1] >= kPtSenderReport && data[1] <= kPtPsfb;
+}
+
 }  // namespace gso::net

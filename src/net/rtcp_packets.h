@@ -170,6 +170,12 @@ std::vector<uint8_t> SerializeCompound(const std::vector<RtcpMessage>& messages)
 // Parses a compound packet; unknown or malformed sub-packets are skipped.
 std::vector<RtcpMessage> ParseCompound(const std::vector<uint8_t>& data);
 
+// RTP/RTCP demux on one port (RFC 5761 §4): RTCP puts its packet type,
+// [200, 206] here, at byte 1, where RTP puts marker|payload_type — at
+// most 127 without the marker, at least 224 with it (PT >= 96) — so the
+// ranges never collide.
+bool IsRtcp(const std::vector<uint8_t>& data);
+
 }  // namespace gso::net
 
 #endif  // GSO_NET_RTCP_PACKETS_H_

@@ -15,10 +15,16 @@ namespace gso::net {
 // number (draft-holmer-rmcat-transport-wide-cc-extensions).
 inline constexpr uint8_t kTransportSequenceExtensionId = 5;
 
+// Payload types every sender in this stack uses (dynamic range, RFC 3551).
+inline constexpr uint8_t kVideoPayloadType = 96;
+inline constexpr uint8_t kAudioPayloadType = 111;
+// Probe padding: receivers feed transport feedback from it and drop it.
+inline constexpr uint8_t kPaddingPayloadType = 127;
+
 struct RtpPacket {
   // Fixed header fields.
   bool marker = false;          // set on the last packet of a video frame
-  uint8_t payload_type = 96;
+  uint8_t payload_type = kVideoPayloadType;
   uint16_t sequence_number = 0;
   uint32_t timestamp = 0;       // media clock (90 kHz video, 48 kHz audio)
   Ssrc ssrc;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "transport/egress.h"
 
 namespace gso::service {
 namespace {
@@ -13,8 +14,6 @@ namespace {
 // digests over gossip outcomes mean the same thing on every platform.
 constexpr uint8_t kTypeSummary = 1;
 constexpr uint8_t kTypeAck = 2;
-// Per-packet UDP/IP overhead the link charges beyond the payload.
-constexpr int64_t kWireOverheadBytes = 28;
 
 void PutU32(std::vector<uint8_t>& out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
@@ -189,12 +188,7 @@ void GossipFabric::Broadcast(int from) {
 void GossipFabric::SendSummary(int from, int to,
                                const std::vector<uint8_t>& payload,
                                uint64_t seq) {
-  sim::Packet packet;
-  packet.data = payload;
-  packet.wire_size =
-      DataSize::Bytes(static_cast<int64_t>(payload.size()) + kWireOverheadBytes);
-  packet.first_send_time = loop_->Now();
-  link(from, to)->Send(std::move(packet));
+  transport::SendDatagram(*link(from, to), loop_->Now(), payload);
   ArmRetry(from, to, seq, agents_[static_cast<size_t>(from)]
                               .pending[static_cast<size_t>(to)]
                               .retries);
@@ -244,13 +238,8 @@ void GossipFabric::HandlePacket(int from, int to,
     view.suspected = false;
     // Ack every delivery, even duplicates — the first ack may have died on
     // the reverse path.
-    sim::Packet ack;
-    ack.data = EncodeAck(to, seq);
-    ack.wire_size =
-        DataSize::Bytes(static_cast<int64_t>(ack.data.size()) +
-                        kWireOverheadBytes);
-    ack.first_send_time = loop_->Now();
-    link(to, from)->Send(std::move(ack));
+    transport::SendDatagram(*link(to, from), loop_->Now(),
+                            EncodeAck(to, seq));
     return;
   }
   if (data[0] == kTypeAck && data.size() == kAckBytes) {

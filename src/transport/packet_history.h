@@ -18,6 +18,7 @@ namespace gso::transport {
 struct SentPacket {
   Timestamp send_time;
   DataSize size;
+  std::optional<int> probe_cluster;
 };
 
 // One joined feedback sample: a packet we sent together with its fate.
@@ -27,15 +28,17 @@ struct PacketResult {
   DataSize size;
   bool received = false;
   Timestamp receive_time;  // valid when received
+  std::optional<int> probe_cluster;  // set for probe padding
 };
 
 class PacketHistory {
  public:
   // Remembers a sent packet under its (wrapping) transport sequence number.
   void OnPacketSent(uint16_t transport_sequence, Timestamp send_time,
-                    DataSize size) {
+                    DataSize size,
+                    std::optional<int> probe_cluster = std::nullopt) {
     const int64_t seq = send_unwrapper_.Unwrap(transport_sequence);
-    history_[seq] = SentPacket{send_time, size};
+    history_[seq] = SentPacket{send_time, size, probe_cluster};
     // Bound memory two ways. The size cap handles bursts; the age cap
     // handles *feedback loss*: when the feedback packet itself is dropped,
     // its packets are never looked up, and without an age-out each loss
@@ -64,6 +67,7 @@ class PacketHistory {
     result.size = it->second.size;
     result.received = received;
     result.receive_time = receive_time;
+    result.probe_cluster = it->second.probe_cluster;
     history_.erase(it);
     return result;
   }

@@ -17,20 +17,11 @@ SendSideBwe::SendSideBwe(BweConfig config)
 void SendSideBwe::OnPacketSent(uint16_t transport_sequence,
                                Timestamp send_time, DataSize size,
                                std::optional<int> probe_cluster_id) {
-  history_.OnPacketSent(transport_sequence, send_time, size);
-  if (probe_cluster_id) {
-    seq_to_cluster_[transport_sequence] = *probe_cluster_id;
-    // Entries normally leave via feedback; when the feedback is lost they
-    // would sit forever, so cap the map at a few clusters' worth.
-    while (seq_to_cluster_.size() > kMaxTrackedProbePackets) {
-      seq_to_cluster_.erase(seq_to_cluster_.begin());
-    }
-  }
+  history_.OnPacketSent(transport_sequence, send_time, size, probe_cluster_id);
 }
 
 void SendSideBwe::OnFeedback(const net::TransportFeedback& feedback,
                              Timestamp now) {
-  std::vector<PacketResult> results;
   int received = 0;
   int lost = 0;
   for (const auto& p : feedback.packets) {
@@ -46,25 +37,24 @@ void SendSideBwe::OnFeedback(const net::TransportFeedback& feedback,
       const TimeDelta owd = result->receive_time - result->send_time;
       min_owd_ = std::min(min_owd_, owd);
       owd_ewma_.Add(owd.ms_f());
-      const auto cluster_it = seq_to_cluster_.find(p.sequence);
-      if (cluster_it != seq_to_cluster_.end()) {
-        probe_arrivals_[result->sequence] = {result->receive_time,
-                                             result->size};
-        probe_clusters_[cluster_it->second].push_back(result->sequence);
-        seq_to_cluster_.erase(cluster_it);
+      if (result->probe_cluster) {
+        auto& cluster = probe_clusters_[*result->probe_cluster];
+        ++cluster.arrivals;
+        cluster.first_arrival =
+            std::min(cluster.first_arrival, result->receive_time);
+        if (result->receive_time > cluster.last_arrival) {
+          cluster.last_arrival = result->receive_time;
+          cluster.last_size = result->size;
+        }
+        cluster.bytes += result->size;
       }
     } else {
       ++lost;
-      seq_to_cluster_.erase(p.sequence);
     }
-    results.push_back(*result);
   }
-  if (results.empty()) return;
-
   const int total = received + lost;
-  if (total > 0) {
-    smoothed_loss_.Add(static_cast<double>(lost) / total);
-  }
+  if (total == 0) return;
+  smoothed_loss_.Add(static_cast<double>(lost) / total);
 
   last_acked_throughput_ = acked_rate_.Rate(now);
   BandwidthUsage usage = trendline_.State();
@@ -101,40 +91,28 @@ void SendSideBwe::OnFeedback(const net::TransportFeedback& feedback,
     last_raise_mark_ = target_rate_;  // follow big drops down
   }
 
-  EvaluateProbes(results);
+  EvaluateProbes();
 }
 
-void SendSideBwe::EvaluateProbes(const std::vector<PacketResult>&) {
+void SendSideBwe::EvaluateProbes() {
   // A cluster is evaluable once >= 3 of its packets have arrived: estimate
   // the delivered rate across the cluster's arrival span and, if the path
   // demonstrably sustained more than the current target, raise the target
   // to 85% of the probe rate (conservative, per the paper's lesson on
   // controlling probe redundancy).
   for (auto it = probe_clusters_.begin(); it != probe_clusters_.end();) {
-    auto& seqs = it->second;
-    if (seqs.size() < 3) {
+    const ProbeCluster& cluster = it->second;
+    if (cluster.arrivals < 3) {
       ++it;
       continue;
     }
-    Timestamp first = Timestamp::PlusInfinity();
-    Timestamp last = Timestamp::Zero();
-    DataSize total;
-    DataSize last_size;
-    for (int64_t seq : seqs) {
-      const auto arr = probe_arrivals_.find(seq);
-      if (arr == probe_arrivals_.end()) continue;
-      first = std::min(first, arr->second.first);
-      if (arr->second.first > last) {
-        last = arr->second.first;
-        last_size = arr->second.second;
-      }
-      total += arr->second.second;
-      probe_arrivals_.erase(arr);
-    }
+    const Timestamp first = cluster.first_arrival;
+    const Timestamp last = cluster.last_arrival;
     if (last > first) {
       // Exclude the first packet's bytes from the span computation the same
       // way packet-train dispersion estimators do.
-      const DataRate probe_rate = (total - last_size) / (last - first);
+      const DataRate probe_rate = (cluster.bytes - cluster.last_size) /
+                                  (last - first);
       const DataRate capped = std::min(probe_rate * 0.85, config_.max_rate);
       if (capped > target_rate_) {
         target_rate_ = capped;
@@ -147,14 +125,13 @@ void SendSideBwe::EvaluateProbes(const std::vector<PacketResult>&) {
   }
   // Clusters still short of 3 arrivals after newer rounds have come and
   // gone lost their remaining feedback and can never complete; drop them
-  // (and their stranded arrival samples) instead of accumulating one per
-  // probe-into-loss episode. Cluster ids are monotone, so "two rounds
-  // behind the newest" is strictly older probing.
+  // instead of accumulating one per probe-into-loss episode. Cluster ids
+  // are monotone, so "two rounds behind the newest" is strictly older
+  // probing.
   if (!probe_clusters_.empty()) {
     const int newest = probe_clusters_.rbegin()->first;
     for (auto it = probe_clusters_.begin(); it != probe_clusters_.end();) {
       if (it->first >= newest - 1) break;  // ordered by id
-      for (const int64_t seq : it->second) probe_arrivals_.erase(seq);
       it = probe_clusters_.erase(it);
     }
   }

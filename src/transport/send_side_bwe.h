@@ -9,10 +9,10 @@
 #ifndef GSO_TRANSPORT_SEND_SIDE_BWE_H_
 #define GSO_TRANSPORT_SEND_SIDE_BWE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <vector>
 
 #include "common/stats.h"
 #include "common/units.h"
@@ -53,6 +53,11 @@ class SendSideBwe {
 
   DataRate target_rate() const { return target_rate_; }
   double loss_fraction() const { return smoothed_loss_.value(); }
+  // The estimate reported to the controller, discounted by residual loss
+  // so a lossy link gets smaller streams and retransmission keeps pace.
+  DataRate ReportedRate() const {
+    return target_rate_ * (1.0 - 0.8 * std::min(loss_fraction(), 0.6));
+  }
   // True while the one-way delay sits well above its baseline: a standing
   // bottleneck queue (the observable form of real congestion).
   bool StandingQueue() const {
@@ -71,7 +76,16 @@ class SendSideBwe {
   }
 
  private:
-  void EvaluateProbes(const std::vector<PacketResult>& results);
+  // Arrivals of one probe cluster so far.
+  struct ProbeCluster {
+    int arrivals = 0;
+    Timestamp first_arrival = Timestamp::PlusInfinity();
+    Timestamp last_arrival = Timestamp::Zero();
+    DataSize bytes;
+    DataSize last_size;  // of the packet that arrived last
+  };
+
+  void EvaluateProbes();
 
   BweConfig config_;
   PacketHistory history_;
@@ -97,13 +111,7 @@ class SendSideBwe {
   Ewma owd_ewma_{/*alpha=*/0.1};
   DataRate last_raise_mark_ = DataRate::KilobitsPerSec(1);
 
-  // probe cluster id -> unwrapped sequences belonging to it
-  std::map<int, std::vector<int64_t>> probe_clusters_;
-  // A probe cluster is ~6 packets; this covers many in-flight clusters
-  // while bounding what lost feedback can strand.
-  static constexpr size_t kMaxTrackedProbePackets = 256;
-  std::map<int64_t, int> seq_to_cluster_;
-  std::map<int64_t, std::pair<Timestamp, DataSize>> probe_arrivals_;
+  std::map<int, ProbeCluster> probe_clusters_;  // by cluster id
 };
 
 }  // namespace gso::transport

@@ -39,8 +39,7 @@ class ClientHarness {
     directory_.Register(audio);
 
     uplink_.SetSink([this](const sim::Packet& packet) {
-      if (packet.data.size() >= 2 && packet.data[1] >= 200 &&
-          packet.data[1] <= 206) {
+      if (net::IsRtcp(packet.data)) {
         for (auto& message : net::ParseCompound(packet.data)) {
           rtcp_.push_back(std::move(message));
         }

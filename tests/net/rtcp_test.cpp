@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "net/rtp_packet.h"
+
 namespace gso::net {
 namespace {
 
@@ -281,6 +283,24 @@ TEST(Rtcp, TruncatedCompoundKeepsCompletePrefix) {
   const auto parsed = ParseCompound(data);
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_NE(std::get_if<Semb>(&parsed[0]), nullptr);
+}
+
+TEST(Rtcp, IsRtcpDemuxBoundaries) {
+  EXPECT_FALSE(IsRtcp({}));
+  EXPECT_FALSE(IsRtcp({0x80}));
+  // Byte 1 decides: RTCP packet types span [200, 206].
+  EXPECT_FALSE(IsRtcp({0x80, 199}));
+  EXPECT_TRUE(IsRtcp({0x80, 200}));
+  EXPECT_TRUE(IsRtcp({0x80, 206}));
+  EXPECT_FALSE(IsRtcp({0x80, 207}));
+  // RTP PT 96 with the marker set puts 224 there: above the RTCP range.
+  RtpPacket rtp;
+  rtp.payload_type = kVideoPayloadType;
+  rtp.marker = true;
+  const auto rtp_bytes = rtp.Serialize();
+  ASSERT_EQ(rtp_bytes[1], 224);
+  EXPECT_FALSE(IsRtcp(rtp_bytes));
+  EXPECT_TRUE(IsRtcp(SerializeCompound({Pli{Ssrc(1), Ssrc(2)}})));
 }
 
 }  // namespace

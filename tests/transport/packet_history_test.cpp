@@ -41,12 +41,16 @@ TEST(PacketHistory, LostPacketsCarryNoReceiveValidity) {
 TEST(PacketHistory, SurvivesSequenceWrap) {
   PacketHistory history;
   history.OnPacketSent(65535, Timestamp::Millis(1), DataSize::Bytes(10));
-  history.OnPacketSent(0, Timestamp::Millis(2), DataSize::Bytes(20));
+  history.OnPacketSent(0, Timestamp::Millis(2), DataSize::Bytes(20),
+                       /*probe_cluster=*/7);
   const auto a = history.Lookup(65535, true, Timestamp::Millis(30));
   const auto b = history.Lookup(0, true, Timestamp::Millis(31));
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
   EXPECT_LT(a->sequence, b->sequence);
+  // The probe-cluster id rides through the wrap with its packet.
+  EXPECT_FALSE(a->probe_cluster.has_value());
+  EXPECT_EQ(b->probe_cluster, 7);
 }
 
 TEST(PacketHistory, BoundsMemory) {

@@ -297,8 +297,9 @@ FLEET_TRACE="${BUILD_DIR}/fleet_service_smoke_metrics.jsonl"
 FLEET_BASELINE="$(dirname "$0")/../BENCH_fleet.json"
 if [[ -x "${FLEET}" ]]; then
   "${FLEET}" --out="${FLEET_OUT}" --label=smoke --trace-out="${FLEET_TRACE}"
-  python3 - "${FLEET_OUT}" <<'EOF'
+  python3 - "${FLEET_OUT}" "${FLEET_BASELINE}" <<'EOF'
 import json
+import os
 import sys
 
 with open(sys.argv[1]) as f:
@@ -323,6 +324,20 @@ for row in storms:
             sys.exit(f"bench_smoke: fleet storm row missing {key!r}: {row}")
     if row["qoe_floor"] < doc["qoe_floor_min"]:
         sys.exit(f"bench_smoke: fleet QoE floor below minimum: {row}")
+# Each storm's digest is bit-stable run to run: a change
+# means the fleet simulation behaves differently, so it must equal the
+# committed baseline's digest exactly (refresh BENCH_fleet.json, and say
+# why, when a change is meant to move it).
+baseline = sys.argv[2]
+if os.path.isfile(baseline) and os.path.getsize(baseline) > 0:
+    with open(baseline) as f:
+        expected = {r["shape"]: r.get("digest")
+                    for r in json.load(f)["results"]}
+    for row in storms:
+        if row["digest"] != expected.get(row["shape"]):
+            sys.exit(f"bench_smoke: {row['shape']} digest {row['digest']} "
+                     f"!= baseline {expected.get(row['shape'])}")
+    print(f"bench_smoke: OK ({len(storms)} fleet digests match {baseline})")
 # The shard-kill storm must be in the document and must have actually
 # crashed shards, re-homed the victims, and measured the recovery.
 failover = [r for r in storms if r["shape"].startswith("fleet_failover")]
