@@ -131,7 +131,13 @@ void AccessingNode::HandleMediaPacket(const net::RtpPacket& packet,
     for (auto& [client_id, attached] : clients_) {
       if (client_id != info->owner) ForwardToSubscriber(packet, client_id);
     }
-    if (!from_peer) ForwardToPeers(wire, packet.ssrc);
+    // Every peer takes an audio stream, so only a video stream sent with
+    // the audio payload type needs its subscribers resolved.
+    if (!from_peer) {
+      ForwardToPeers(wire, packet.ssrc,
+                     info->is_audio ? std::span<const ClientId>()
+                                    : SubscribersOf(packet.ssrc));
+    }
     return;
   }
 
@@ -156,7 +162,7 @@ void AccessingNode::HandleMediaPacket(const net::RtpPacket& packet,
   }
 
   // Who gets this packet?
-  std::vector<ClientId> subscribers = SubscribersOf(packet.ssrc);
+  const std::vector<ClientId>& subscribers = SubscribersOf(packet.ssrc);
   bool remote_needed = false;
   for (ClientId subscriber : subscribers) {
     if (clients_.count(subscriber)) {
@@ -165,11 +171,14 @@ void AccessingNode::HandleMediaPacket(const net::RtpPacket& packet,
       remote_needed = true;
     }
   }
-  if (remote_needed && !from_peer) ForwardToPeers(wire, packet.ssrc);
+  if (remote_needed && !from_peer) {
+    ForwardToPeers(wire, packet.ssrc, subscribers);
+  }
 }
 
-std::vector<ClientId> AccessingNode::SubscribersOf(Ssrc ssrc) const {
-  std::vector<ClientId> out;
+const std::vector<ClientId>& AccessingNode::SubscribersOf(Ssrc ssrc) {
+  std::vector<ClientId>& out = resolved_subscribers_;
+  out.clear();
   if (mode_ == ControlMode::kGso && !degraded_) {
     const auto it = forwarding_.find(ssrc);
     if (it != forwarding_.end()) out = it->second;
@@ -239,19 +248,18 @@ void AccessingNode::ForwardToSubscriber(const net::RtpPacket& packet,
   attached.downlink.SendRtp(packet);
 }
 
-void AccessingNode::ForwardToPeers(const sim::Packet& wire, Ssrc ssrc) {
+void AccessingNode::ForwardToPeers(const sim::Packet& wire, Ssrc ssrc,
+                                   std::span<const ClientId> subscribers) {
+  // Audio fan-out: every peer with any attached client needs it.
+  const auto info = directory_->Lookup(ssrc);
+  const bool audio = info && info->is_audio;
   // One copy per peer that homes at least one subscriber of the stream.
   for (auto& [peer_id, peer] : peers_) {
-    bool needed = false;
-    for (ClientId subscriber : SubscribersOf(ssrc)) {
-      if (peer.first->IsAttached(subscriber)) {
-        needed = true;
-        break;
-      }
-    }
-    // Audio fan-out: every peer with any attached client needs it.
-    const auto info = directory_->Lookup(ssrc);
-    if (info && info->is_audio) needed = true;
+    const bool needed =
+        audio || std::any_of(subscribers.begin(), subscribers.end(),
+                             [&peer](ClientId subscriber) {
+                               return peer.first->IsAttached(subscriber);
+                             });
     if (!needed) continue;
     peer.second->Send(wire);
   }

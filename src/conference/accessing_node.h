@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -166,7 +167,8 @@ class AccessingNode : public sim::CrashableProcess {
   void HandleMediaPacket(const net::RtpPacket& packet,
                          const sim::Packet& wire, bool from_peer);
   void ForwardToSubscriber(const net::RtpPacket& packet, ClientId subscriber);
-  void ForwardToPeers(const sim::Packet& wire, Ssrc ssrc);
+  void ForwardToPeers(const sim::Packet& wire, Ssrc ssrc,
+                      std::span<const ClientId> subscribers);
   void SendRtcpToClient(ClientId client,
                         const std::vector<net::RtcpMessage>& messages);
   void RelayToPublisher(Ssrc media_ssrc, net::RtcpMessage message);
@@ -179,7 +181,9 @@ class AccessingNode : public sim::CrashableProcess {
   // largest instructed layers when the estimate drops below what is being
   // forwarded (the SFU-side analogue of the client's local limit).
   void EnforceDownlinkLimit(ClientId client);
-  std::vector<ClientId> SubscribersOf(Ssrc ssrc) const;
+  // Who receives `ssrc`, written into resolved_subscribers_: valid until
+  // the next call.
+  const std::vector<ClientId>& SubscribersOf(Ssrc ssrc);
   void ReportDownlink(ClientId client, bool force);
   // Sender SSRC of this node's own RTCP (feedback, NACK, PLI, GTBR).
   // SSRCs outside the directory are reserved per sender: client probe
@@ -204,6 +208,7 @@ class AccessingNode : public sim::CrashableProcess {
   // the viewer never sees a decode gap. Keyed by (new_ssrc, subscriber).
   std::map<std::pair<Ssrc, ClientId>, Ssrc> pending_switches_;
   std::map<Ssrc, UplinkStreamState> uplink_streams_;
+  std::vector<ClientId> resolved_subscribers_;  // see SubscribersOf
   media::RtxCache forward_cache_;
   baseline::SfuLayerSelector selector_;
   int gtbr_retransmissions_ = 0;

@@ -95,6 +95,9 @@ class Client {
 
   // --- Wiring (called by the Conference harness) -----------------------
   void SetUplink(sim::Link* uplink) { egress_.set_link(uplink); }
+  // Re-homed onto another accessing node: its downlink sender numbers the
+  // transport-wide sequence from zero, so downlink feedback starts afresh.
+  void ResetDownlinkFeedback() { feedback_builder_ = {}; }
   void SetDirectory(const StreamDirectory* directory) {
     directory_ = directory;
   }

@@ -225,6 +225,7 @@ void Conference::HandleNodeFailure(NodeId dead) {
           survivor->OnClientPacket(id, packet);
         });
     survivor->AttachClient(client, &participant.access->downlink());
+    client->ResetDownlinkFeedback();
     participant.node_index = survivor_index;
     // Subscribers behind the survivor need a decode anchor on the new
     // SSRCs right away, not at the next periodic keyframe.

@@ -14,6 +14,11 @@ namespace gso::net {
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  // Reserves `capacity` bytes up front: a writer whose final size is known
+  // allocates once instead of growing by doubling.
+  explicit ByteWriter(size_t capacity) { buf_.reserve(capacity); }
+
   void WriteU8(uint8_t v) { buf_.push_back(v); }
   void WriteU16(uint16_t v) {
     buf_.push_back(static_cast<uint8_t>(v >> 8));

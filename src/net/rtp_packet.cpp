@@ -21,8 +21,8 @@ size_t RtpPacket::WireSize() const {
 }
 
 std::vector<uint8_t> RtpPacket::Serialize() const {
-  ByteWriter w;
   const bool has_ext = transport_sequence.has_value();
+  ByteWriter w(12 + (has_ext ? 8u : 0u) + kPayloadDescriptorSize);
   w.WriteU8(static_cast<uint8_t>(kRtpVersion << 6 | (has_ext ? 0x10 : 0)));
   w.WriteU8(static_cast<uint8_t>((marker ? 0x80 : 0) | payload_type));
   w.WriteU16(sequence_number);

@@ -115,12 +115,14 @@ class EventLoop {
   uint64_t current_owner() const { return current_owner_; }
 
   // Schedules `task` at absolute virtual time `when` (clamped to Now()),
-  // tagged with the current owner.
-  void At(Timestamp when, Task task) {
-    if (IsCancelled(current_owner_)) return;
+  // tagged with the current owner. Returns false, dropping the task, when
+  // the current owner is cancelled.
+  bool At(Timestamp when, Task task) {
+    if (IsCancelled(current_owner_)) return false;
     if (when < now_) when = now_;
     queue_.push_back(Event{when, next_seq_++, current_owner_, std::move(task)});
     std::push_heap(queue_.begin(), queue_.end(), Event::Later);
+    return true;
   }
 
   // Schedules `task` `delay` after the current virtual time.

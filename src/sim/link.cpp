@@ -72,11 +72,22 @@ void Link::Send(Packet packet) {
   }
   last_delivery_ = delivery;
 
-  loop_->At(delivery, [this, p = std::move(packet)]() {
-    ++stats_.packets_delivered;
-    stats_.bytes_delivered += p.wire_size;
-    if (sink_) sink_(p);
-  });
+  const uint64_t seq = next_seq_;
+  if (!loop_->At(delivery, [this, seq] { Deliver(seq); })) return;
+  ++next_seq_;
+  in_flight_.push_back(InFlight{delivery, seq, std::move(packet)});
+  std::push_heap(in_flight_.begin(), in_flight_.end(), InFlight::Later);
+}
+
+void Link::Deliver(uint64_t seq) {
+  GSO_CHECK(!in_flight_.empty() && in_flight_.front().seq == seq);
+  std::pop_heap(in_flight_.begin(), in_flight_.end(), InFlight::Later);
+  // Moved out before the sink runs: the sink may send on this link again.
+  const Packet packet = std::move(in_flight_.back().packet);
+  in_flight_.pop_back();
+  ++stats_.packets_delivered;
+  stats_.bytes_delivered += packet.wire_size;
+  if (sink_) sink_(packet);
 }
 
 }  // namespace gso::sim

@@ -107,6 +107,17 @@ struct LinkStats {
   }
 };
 
+// In-flight packets live in the link itself, in a min-heap keyed on
+// (delivery time, per-link send sequence); each send schedules one event
+// whose closure captures only {this, seq} and pops the heap when it fires.
+// One link's events fire in (time, global seq) order and the per-link seq
+// rises with the global one, so the heap minimum is always the packet whose
+// event is firing. That holds as long as every delivery of one link shares
+// one owner's fate: a send dropped at scheduling time (cancelled owner)
+// never enters the heap, but cancelling an owner while its packets are in
+// flight on a link that other owners keep using strands them, and the next
+// delivery fails its sequence check. Components send on their own links
+// under their own owner, and cancel it only when they destroy those links.
 class Link {
  public:
   using Sink = std::function<void(const Packet&)>;
@@ -145,8 +156,25 @@ class Link {
   // Instantaneous queue backlog delay if a packet were enqueued now.
   TimeDelta CurrentQueueDelay() const;
 
+  // Packets sent and not yet delivered.
+  size_t in_flight() const { return in_flight_.size(); }
+
  private:
+  struct InFlight {
+    Timestamp delivery;
+    uint64_t seq;
+    Packet packet;
+
+    // Min-heap comparator on (delivery, seq).
+    static bool Later(const InFlight& a, const InFlight& b) {
+      if (a.delivery != b.delivery) return a.delivery > b.delivery;
+      return a.seq > b.seq;
+    }
+  };
+
   bool DrawLoss();
+  // Delivery event of the packet sent with per-link sequence `seq`.
+  void Deliver(uint64_t seq);
 
   EventLoop* loop_;
   LinkConfig config_;
@@ -158,6 +186,8 @@ class Link {
   Timestamp last_delivery_ = Timestamp::Zero();
   bool ge_in_bad_state_ = false;
   bool up_ = true;
+  uint64_t next_seq_ = 0;
+  std::vector<InFlight> in_flight_;  // min-heap on (delivery, seq)
 };
 
 }  // namespace gso::sim

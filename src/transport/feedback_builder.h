@@ -7,8 +7,10 @@
 #ifndef GSO_TRANSPORT_FEEDBACK_BUILDER_H_
 #define GSO_TRANSPORT_FEEDBACK_BUILDER_H_
 
-#include <map>
+#include <algorithm>
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "common/sequence.h"
 #include "common/units.h"
@@ -16,62 +18,67 @@
 
 namespace gso::transport {
 
+// Every sequence the builder holds lies in [next_to_report_, highest seen]:
+// arrivals below the window are dropped and Build() empties it. So the
+// arrivals live in one dense vector indexed by `seq - next_to_report_`,
+// which Build() clears keeping its capacity: steady arrivals never
+// allocate.
 class FeedbackBuilder {
  public:
+  // `arrival` must be finite (the vector marks a gap as +infinity).
   void OnPacketArrived(uint16_t transport_sequence, Timestamp arrival) {
     const int64_t seq = unwrapper_.Unwrap(transport_sequence);
     // A late (reordered) packet whose sequence an earlier report already
     // covered is never reported again; storing it would strand the entry.
     if (next_to_report_ && seq < *next_to_report_) return;
-    arrivals_[seq] = arrival;
     if (!next_to_report_) next_to_report_ = seq;
-    max_seen_ = std::max(max_seen_, seq);
+    const size_t index = static_cast<size_t>(seq - *next_to_report_);
+    if (index >= arrivals_.size()) {
+      arrivals_.resize(index + 1, Timestamp::PlusInfinity());
+    }
+    arrivals_[index] = arrival;
   }
 
-  bool HasData() const {
-    return next_to_report_ && max_seen_ >= *next_to_report_;
-  }
+  bool HasData() const { return !arrivals_.empty(); }
 
-  // Builds feedback for [next_to_report_, max_seen_]. Returns nullopt when
-  // there is nothing to report. `reporter_ssrc` identifies the receiver.
+  // Builds feedback for [next_to_report_, highest seen]. Returns nullopt
+  // when there is nothing to report. `reporter_ssrc` identifies the
+  // receiver.
   std::optional<net::TransportFeedback> Build(Ssrc reporter_ssrc) {
     if (!HasData()) return std::nullopt;
     net::TransportFeedback fb;
     fb.sender_ssrc = reporter_ssrc;
 
-    // Base time: the earliest arrival in the report window.
-    Timestamp base = Timestamp::PlusInfinity();
-    for (int64_t s = *next_to_report_; s <= max_seen_; ++s) {
-      const auto it = arrivals_.find(s);
-      if (it != arrivals_.end()) base = std::min(base, it->second);
-    }
-    if (!base.IsFinite()) {
-      // Window contains only losses; anchor on zero.
-      base = Timestamp::Zero();
-    }
-    fb.base_time_ms = static_cast<uint32_t>(base.ms());
+    // Base time: the earliest arrival in the report window; a window of
+    // only losses anchors on zero.
+    const Timestamp base =
+        *std::min_element(arrivals_.begin(), arrivals_.end());
+    fb.base_time_ms =
+        static_cast<uint32_t>(base.IsFinite() ? base.ms() : 0);
 
-    for (int64_t s = *next_to_report_; s <= max_seen_; ++s) {
+    fb.packets.reserve(arrivals_.size());
+    for (size_t i = 0; i < arrivals_.size(); ++i) {
       net::TransportFeedback::PacketResult p;
-      p.sequence = static_cast<uint16_t>(s & 0xFFFF);
-      const auto it = arrivals_.find(s);
-      if (it != arrivals_.end()) {
+      p.sequence = static_cast<uint16_t>(
+          (*next_to_report_ + static_cast<int64_t>(i)) & 0xFFFF);
+      if (arrivals_[i].IsFinite()) {
         p.received = true;
-        const TimeDelta delta = it->second - Timestamp::Millis(fb.base_time_ms);
+        const TimeDelta delta =
+            arrivals_[i] - Timestamp::Millis(fb.base_time_ms);
         p.delta_250us = static_cast<uint32_t>(delta.us() / 250);
-        arrivals_.erase(it);
       }
       fb.packets.push_back(p);
     }
-    next_to_report_ = max_seen_ + 1;
+    *next_to_report_ += static_cast<int64_t>(arrivals_.size());
+    arrivals_.clear();
     return fb;
   }
 
  private:
   SequenceUnwrapper unwrapper_;
-  std::map<int64_t, Timestamp> arrivals_;
+  // Arrival time of sequence next_to_report_ + i; +infinity marks a gap.
+  std::vector<Timestamp> arrivals_;
   std::optional<int64_t> next_to_report_;
-  int64_t max_seen_ = -1;
 };
 
 }  // namespace gso::transport

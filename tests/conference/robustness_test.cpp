@@ -204,6 +204,33 @@ TEST(Robustness, NodeDeathRehomesParticipantsWithFreshSsrcs) {
   EXPECT_TRUE(PendingConfigsDrain(*conference));
 }
 
+// After a failover the survivor's downlink sender numbers the transport-
+// wide sequence from zero. Each victim's feedback must start afresh with
+// it: a builder left at the dead node's position unwraps every new packet
+// below its report window and drops it as late, so no feedback flows and
+// the survivor's estimate of the victim's downlink stays at its 500 kbps
+// start rate.
+TEST(Robustness, RehomedClientsFeedTheSurvivorsDownlinkEstimate) {
+  auto conference = BuildRobustMeeting(4, 2);
+  sim::FaultPlan plan(&conference->loop());
+  conference->Start();
+  conference->RunFor(TimeDelta::Seconds(6));
+  ScheduleAccessingNodeDeath(*conference, plan, /*node_index=*/1,
+                             conference->loop().Now() + TimeDelta::Seconds(1));
+  for (int step = 0;
+       step < 100 && conference->control().node_failover_count() == 0;
+       ++step) {
+    conference->RunFor(TimeDelta::Millis(100));
+  }
+  ASSERT_EQ(conference->control().node_failover_count(), 1);
+  conference->RunFor(TimeDelta::Seconds(5));
+  for (uint32_t id : {2u, 4u}) {  // homed on node 1 until it died
+    EXPECT_GT(conference->node(0)->DownlinkEstimate(ClientId(id)),
+              DataRate::KilobitsPerSec(500))
+        << "client " << id;
+  }
+}
+
 // Satellite: across leave/re-join churn and a node failover, the
 // controller never hands out an SSRC that any earlier generation used —
 // in-flight closures and surviving forwarding tables can therefore never

@@ -1,8 +1,14 @@
 // Tests for the simulated link: serialization timing, loss models,
-// droptail queueing, jitter, and runtime reconfiguration.
+// droptail queueing, jitter, runtime reconfiguration, and the in-flight
+// heap (owner cancellation, its delivery check, and a differential test
+// against a frozen copy of the closure-per-packet link it replaced).
 #include "sim/link.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "sim/duplex_link.h"
@@ -237,6 +243,236 @@ TEST(LinkConfigPresets, FactoryPresetsSetExpectedFields) {
   const DuplexLinkConfig duplex = DuplexLinkConfig::Symmetric(wifi);
   EXPECT_EQ(duplex.uplink.capacity, wifi.capacity);
   EXPECT_EQ(duplex.downlink.capacity, wifi.capacity);
+}
+
+// A send dropped at scheduling time (its owner is cancelled) must not
+// strand a packet in the in-flight heap: the next send still arrives.
+TEST(Link, SendUnderCancelledOwnerLeavesNothingInFlight) {
+  EventLoop loop;
+  Link link(&loop, LinkConfig{}, Rng(10));
+  std::vector<uint8_t> received;
+  link.SetSink([&](const Packet& p) { received.push_back(p.data[0]); });
+  const uint64_t owner = loop.NewOwner();
+  loop.Cancel(owner);
+  {
+    const EventLoop::OwnerScope scope(&loop, owner);
+    link.Send(Packet{{1}, DataSize::Bytes(100), loop.Now()});
+  }
+  EXPECT_EQ(link.in_flight(), 0u);
+  link.Send(Packet{{2}, DataSize::Bytes(100), loop.Now()});
+  EXPECT_EQ(link.in_flight(), 1u);
+  loop.RunAll();
+  EXPECT_EQ(received, (std::vector<uint8_t>{2}));
+  EXPECT_EQ(link.in_flight(), 0u);
+}
+
+// Every delivery of one link must share one owner's fate. Cancelling an
+// owner while its packet is in flight, then sending under another owner,
+// breaks that rule: the second delivery finds the stranded packet at the
+// heap's top, and the sequence check stops the run.
+TEST(LinkDeathTest, DeliveryChecksTheInFlightSequence) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        EventLoop loop;
+        Link link(&loop, LinkConfig{}, Rng(11));
+        const uint64_t owner = loop.NewOwner();
+        {
+          const EventLoop::OwnerScope scope(&loop, owner);
+          link.Send(MakePacket(100));
+        }
+        loop.Cancel(owner);
+        link.Send(MakePacket(100));
+        loop.RunAll();
+      },
+      "GSO_CHECK failed");
+}
+
+// --- Differential test against the closure-per-packet link ---------------
+//
+// Frozen copy of Link before in-flight packets moved into the link: each
+// send scheduled a closure that owned its packet.
+class ClosureLinkReference {
+ public:
+  ClosureLinkReference(EventLoop* loop, LinkConfig config, Rng rng)
+      : loop_(loop), config_(config), rng_(rng) {}
+
+  void SetSink(Link::Sink sink) { sink_ = std::move(sink); }
+  void SetCapacity(DataRate capacity) { config_.capacity = capacity; }
+  void SetJitter(TimeDelta stddev) { config_.jitter_stddev = stddev; }
+  void SetLossRate(double loss) { config_.loss_rate = loss; }
+  void SetBurstLoss(bool enabled, double bad_fraction = 0.032) {
+    config_.gilbert_elliott = enabled;
+    if (enabled) {
+      config_.ge_p_good_to_bad =
+          config_.ge_p_bad_to_good * bad_fraction / (1.0 - bad_fraction);
+    }
+  }
+  void SetUp(bool up) { up_ = up; }
+  const LinkStats& stats() const { return stats_; }
+
+  void Send(Packet packet) {
+    ++stats_.packets_sent;
+    if (!up_) {
+      ++stats_.packets_dropped_down;
+      return;
+    }
+    const Timestamp now = loop_->Now();
+    const TimeDelta backlog =
+        busy_until_ > now ? busy_until_ - now : TimeDelta::Zero();
+    if (backlog > config_.max_queue_delay) {
+      ++stats_.packets_dropped_queue;
+      return;
+    }
+    const TimeDelta tx_time = packet.wire_size / config_.capacity;
+    const Timestamp start = std::max(now, busy_until_);
+    busy_until_ = start + tx_time;
+    if (DrawLoss()) {
+      ++stats_.packets_dropped_loss;
+      return;
+    }
+    TimeDelta jitter = TimeDelta::Zero();
+    if (!config_.jitter_stddev.IsZero()) {
+      jitter = TimeDelta::Micros(static_cast<int64_t>(
+          std::abs(rng_.Normal(0.0, static_cast<double>(
+                                        config_.jitter_stddev.us())))));
+    }
+    Timestamp delivery = busy_until_ + config_.propagation_delay + jitter;
+    if (!config_.allow_reordering && delivery < last_delivery_) {
+      delivery = last_delivery_;
+    }
+    last_delivery_ = delivery;
+    loop_->At(delivery, [this, p = std::move(packet)]() {
+      ++stats_.packets_delivered;
+      stats_.bytes_delivered += p.wire_size;
+      if (sink_) sink_(p);
+    });
+  }
+
+ private:
+  bool DrawLoss() {
+    if (config_.gilbert_elliott) {
+      if (ge_in_bad_state_) {
+        if (rng_.Bernoulli(config_.ge_p_bad_to_good)) ge_in_bad_state_ = false;
+      } else {
+        if (rng_.Bernoulli(config_.ge_p_good_to_bad)) ge_in_bad_state_ = true;
+      }
+      return rng_.Bernoulli(ge_in_bad_state_ ? config_.ge_loss_in_bad : 0.0);
+    }
+    return config_.loss_rate > 0.0 && rng_.Bernoulli(config_.loss_rate);
+  }
+
+  EventLoop* loop_;
+  LinkConfig config_;
+  Rng rng_;
+  Link::Sink sink_;
+  LinkStats stats_;
+  Timestamp busy_until_ = Timestamp::Zero();
+  Timestamp last_delivery_ = Timestamp::Zero();
+  bool ge_in_bad_state_ = false;
+  bool up_ = true;
+};
+
+// (delivery time, packet id) in delivery order.
+using DeliveryLog = std::vector<std::tuple<Timestamp, uint32_t>>;
+
+Packet IdPacket(uint32_t id, int64_t bytes, Timestamp now) {
+  return Packet{{static_cast<uint8_t>(id >> 24), static_cast<uint8_t>(id >> 16),
+                 static_cast<uint8_t>(id >> 8), static_cast<uint8_t>(id)},
+                DataSize::Bytes(bytes), now};
+}
+
+uint32_t IdOf(const Packet& p) {
+  return static_cast<uint32_t>(p.data[0]) << 24 |
+         static_cast<uint32_t>(p.data[1]) << 16 |
+         static_cast<uint32_t>(p.data[2]) << 8 | p.data[3];
+}
+
+// Four seconds of a seeded script on one link: bursts of sends, runtime
+// capacity/jitter/loss changes and outages, and a sink that answers some
+// packets on the same link from inside the delivery. Both link kinds see
+// the same script and the same link Rng seed.
+template <typename L>
+DeliveryLog DriveLink(uint64_t seed, bool allow_reordering, LinkStats* stats) {
+  EventLoop loop;
+  LinkConfig config = LinkConfig::Wifi(DataRate::MegabitsPerSec(4));
+  config.jitter_stddev = TimeDelta::Millis(15);
+  config.allow_reordering = allow_reordering;
+  config.max_queue_delay = TimeDelta::Millis(100);
+  L link(&loop, config, Rng(seed));
+  DeliveryLog log;
+  uint32_t next_echo = 1u << 30;
+  link.SetSink([&](const Packet& p) {
+    const uint32_t id = IdOf(p);
+    log.emplace_back(loop.Now(), id);
+    if (id % 5 == 0 && id < (1u << 30)) {
+      link.Send(IdPacket(next_echo++, 200, loop.Now()));
+    }
+  });
+
+  Rng script(seed ^ 0x5eedull);
+  uint32_t next_id = 0;
+  for (int64_t ms = 0; ms < 4000; ++ms) {
+    const Timestamp at = Timestamp::Millis(ms);
+    for (int64_t n = script.UniformInt(0, 3); n > 0; --n) {
+      const uint32_t id = next_id++;
+      const int64_t bytes = script.UniformInt(60, 1400);
+      loop.At(at, [&link, &loop, id, bytes] {
+        link.Send(IdPacket(id, bytes, loop.Now()));
+      });
+    }
+    const double r = script.NextDouble();
+    if (r < 0.002) {
+      const DataRate rate =
+          DataRate::KilobitsPerSec(script.UniformInt(500, 8000));
+      loop.At(at, [&link, rate] { link.SetCapacity(rate); });
+    } else if (r < 0.004) {
+      const TimeDelta jitter = TimeDelta::Millis(script.UniformInt(0, 40));
+      loop.At(at, [&link, jitter] { link.SetJitter(jitter); });
+    } else if (r < 0.005) {
+      const double loss = 0.2 * script.NextDouble();
+      loop.At(at, [&link, loss] { link.SetLossRate(loss); });
+    } else if (r < 0.006) {
+      const bool burst = script.Bernoulli(0.5);
+      loop.At(at, [&link, burst] { link.SetBurstLoss(burst, 0.05); });
+    } else if (r < 0.007) {
+      loop.At(at, [&link] { link.SetUp(false); });
+      loop.At(at + TimeDelta::Millis(script.UniformInt(10, 200)),
+              [&link] { link.SetUp(true); });
+    }
+  }
+  loop.RunAll();
+  *stats = link.stats();
+  return log;
+}
+
+TEST(LinkDifferential, MatchesClosurePerPacketLink) {
+  size_t reordered = 0;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    for (const bool allow_reordering : {true, false}) {
+      LinkStats expected_stats;
+      LinkStats stats;
+      const DeliveryLog expected = DriveLink<ClosureLinkReference>(
+          seed, allow_reordering, &expected_stats);
+      const DeliveryLog got = DriveLink<Link>(seed, allow_reordering, &stats);
+      ASSERT_EQ(got, expected) << "seed " << seed;
+      EXPECT_EQ(stats.packets_sent, expected_stats.packets_sent);
+      EXPECT_EQ(stats.packets_delivered, expected_stats.packets_delivered);
+      EXPECT_EQ(stats.packets_dropped_queue,
+                expected_stats.packets_dropped_queue);
+      EXPECT_EQ(stats.packets_dropped_loss,
+                expected_stats.packets_dropped_loss);
+      EXPECT_EQ(stats.packets_dropped_down,
+                expected_stats.packets_dropped_down);
+      EXPECT_EQ(stats.bytes_delivered, expected_stats.bytes_delivered);
+      for (size_t i = 1; i < got.size(); ++i) {
+        const uint32_t a = std::get<1>(got[i - 1]);
+        const uint32_t b = std::get<1>(got[i]);
+        if (a < (1u << 30) && b < (1u << 30) && b < a) ++reordered;
+      }
+    }
+  }
+  EXPECT_GT(reordered, 1000u);  // the jitter really reorders
 }
 
 }  // namespace
