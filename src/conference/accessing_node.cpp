@@ -268,7 +268,7 @@ void AccessingNode::ForwardToPeers(const sim::Packet& wire, Ssrc ssrc,
 // --- Client RTCP -----------------------------------------------------------
 
 void AccessingNode::HandleClientRtcp(ClientId from,
-                                     const std::vector<uint8_t>& data) {
+                                     std::span<const uint8_t> data) {
   auto& attached = *clients_.at(from);
   for (const auto& message : net::ParseCompound(data)) {
     if (const auto* fb = std::get_if<net::TransportFeedback>(&message)) {

@@ -163,7 +163,7 @@ class AccessingNode : public sim::CrashableProcess {
 
   void OnRtcpTick();
   void OnSelectionTick();  // local mode
-  void HandleClientRtcp(ClientId from, const std::vector<uint8_t>& data);
+  void HandleClientRtcp(ClientId from, std::span<const uint8_t> data);
   void HandleMediaPacket(const net::RtpPacket& packet,
                          const sim::Packet& wire, bool from_peer);
   void ForwardToSubscriber(const net::RtpPacket& packet, ClientId subscriber);

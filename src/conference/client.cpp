@@ -253,7 +253,7 @@ void Client::HandleRtp(const sim::Packet& sim_packet) {
   }
 }
 
-void Client::HandleRtcp(const std::vector<uint8_t>& data) {
+void Client::HandleRtcp(std::span<const uint8_t> data) {
   cpu_.AddControlMessage();
   for (const auto& message : net::ParseCompound(data)) {
     if (const auto* fb = std::get_if<net::TransportFeedback>(&message)) {

@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -251,7 +252,7 @@ class Client {
 
   void SendRtp(net::RtpPacket packet, bool pace);
   void TransmitRtp(const net::RtpPacket& packet);
-  void HandleRtcp(const std::vector<uint8_t>& data);
+  void HandleRtcp(std::span<const uint8_t> data);
   void HandleRtp(const sim::Packet& packet);
   void ApplyGsoTmmbr(const net::GsoTmmbr& request);
   void ApplyTemplatePolicy();

@@ -25,7 +25,7 @@ std::vector<DecodedFrame> JitterBuffer::Insert(const net::RtpPacket& packet,
   frame.packets_expected = packet.packets_in_frame;
   frame.is_keyframe = packet.is_keyframe;
   frame.min_seq = std::min(frame.min_seq, seq);
-  if (frame.packets_received.insert(packet.packet_index).second) {
+  if (frame.packets_received.Insert(packet.packet_index)) {
     frame.size += DataSize::Bytes(packet.payload_size);
   }
 

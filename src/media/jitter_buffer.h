@@ -8,6 +8,7 @@
 #ifndef GSO_MEDIA_JITTER_BUFFER_H_
 #define GSO_MEDIA_JITTER_BUFFER_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -45,9 +46,37 @@ class JitterBuffer {
   int64_t frames_dropped() const { return frames_dropped_; }
 
  private:
+  // Packet indices received for one frame. Indices below 256 (a frame of
+  // up to ~300 KB at the packetizer's 1200-byte payload) live in the
+  // inline bitset; an ordered spill takes any larger one, so every
+  // uint16_t index, hostile or not, still deduplicates exactly.
+  class PacketIndexSet {
+   public:
+    // Returns false if `index` was already present.
+    bool Insert(uint16_t index) {
+      if (index >= kInlineIndices) {
+        if (!spill_.insert(index).second) return false;
+      } else {
+        uint64_t& word = bits_[index / 64];
+        const uint64_t bit = uint64_t{1} << (index % 64);
+        if ((word & bit) != 0) return false;
+        word |= bit;
+      }
+      ++size_;
+      return true;
+    }
+    size_t size() const { return size_; }
+
+   private:
+    static constexpr uint16_t kInlineIndices = 256;
+    std::array<uint64_t, kInlineIndices / 64> bits_{};
+    uint32_t size_ = 0;
+    std::set<uint16_t> spill_;
+  };
+
   struct PartialFrame {
     uint16_t packets_expected = 0;
-    std::set<uint16_t> packets_received;
+    PacketIndexSet packets_received;
     DataSize size;
     bool is_keyframe = false;
     // Lowest unwrapped sequence seen for this frame. Sequence numbers are

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,11 +15,6 @@ namespace gso::net {
 
 class ByteWriter {
  public:
-  ByteWriter() = default;
-  // Reserves `capacity` bytes up front: a writer whose final size is known
-  // allocates once instead of growing by doubling.
-  explicit ByteWriter(size_t capacity) { buf_.reserve(capacity); }
-
   void WriteU8(uint8_t v) { buf_.push_back(v); }
   void WriteU16(uint16_t v) {
     buf_.push_back(static_cast<uint8_t>(v >> 8));
@@ -55,16 +51,42 @@ class ByteWriter {
   size_t size() const { return buf_.size(); }
   const std::vector<uint8_t>& data() const { return buf_; }
   std::vector<uint8_t> Take() { return std::move(buf_); }
+  // Empties the writer but keeps its capacity, so a reused writer stops
+  // allocating once it has seen its largest message.
+  void Clear() { buf_.clear(); }
 
  private:
   std::vector<uint8_t> buf_;
 };
 
+// Writes into a buffer the caller has already sized to the exact length
+// of what is written, so it neither allocates nor checks bounds.
+class BufferWriter {
+ public:
+  explicit BufferWriter(uint8_t* out) : out_(out) {}
+
+  void WriteU8(uint8_t v) { out_[pos_++] = v; }
+  void WriteU16(uint16_t v) {
+    WriteU8(static_cast<uint8_t>(v >> 8));
+    WriteU8(static_cast<uint8_t>(v));
+  }
+  void WriteU32(uint32_t v) {
+    WriteU16(static_cast<uint16_t>(v >> 16));
+    WriteU16(static_cast<uint16_t>(v));
+  }
+
+  size_t size() const { return pos_; }
+
+ private:
+  uint8_t* out_;
+  size_t pos_ = 0;
+};
+
 class ByteReader {
  public:
   ByteReader(const uint8_t* data, size_t len) : data_(data), len_(len) {}
-  explicit ByteReader(const std::vector<uint8_t>& buf)
-      : data_(buf.data()), len_(buf.size()) {}
+  explicit ByteReader(std::span<const uint8_t> bytes)
+      : data_(bytes.data()), len_(bytes.size()) {}
 
   bool ok() const { return ok_; }
   size_t remaining() const { return ok_ ? len_ - pos_ : 0; }

@@ -345,11 +345,16 @@ std::optional<RtcpMessage> ParseApp(ByteReader& r, uint8_t subtype,
 std::vector<uint8_t> SerializeCompound(
     const std::vector<RtcpMessage>& messages) {
   ByteWriter w;
-  for (const auto& m : messages) SerializeOne(w, m);
+  SerializeCompound(messages, w);
   return w.Take();
 }
 
-std::vector<RtcpMessage> ParseCompound(const std::vector<uint8_t>& data) {
+void SerializeCompound(const std::vector<RtcpMessage>& messages,
+                       ByteWriter& w) {
+  for (const auto& m : messages) SerializeOne(w, m);
+}
+
+std::vector<RtcpMessage> ParseCompound(std::span<const uint8_t> data) {
   std::vector<RtcpMessage> out;
   size_t offset = 0;
   while (offset + 4 <= data.size()) {
@@ -473,7 +478,7 @@ std::vector<RtcpMessage> ParseCompound(const std::vector<uint8_t>& data) {
   return out;
 }
 
-bool IsRtcp(const std::vector<uint8_t>& data) {
+bool IsRtcp(std::span<const uint8_t> data) {
   return data.size() >= 2 && data[1] >= kPtSenderReport && data[1] <= kPtPsfb;
 }
 

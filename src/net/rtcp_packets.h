@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -164,17 +165,23 @@ using RtcpMessage =
 
 // --- Compound packet framing --------------------------------------------
 
+class ByteWriter;  // net/byte_io.h
+
 // Serializes messages back-to-back in RFC 3550 compound framing.
 std::vector<uint8_t> SerializeCompound(const std::vector<RtcpMessage>& messages);
+// Appends the same bytes to `w`; a sender that reuses one writer stops
+// allocating once it has seen its largest compound.
+void SerializeCompound(const std::vector<RtcpMessage>& messages,
+                       ByteWriter& w);
 
 // Parses a compound packet; unknown or malformed sub-packets are skipped.
-std::vector<RtcpMessage> ParseCompound(const std::vector<uint8_t>& data);
+std::vector<RtcpMessage> ParseCompound(std::span<const uint8_t> data);
 
 // RTP/RTCP demux on one port (RFC 5761 §4): RTCP puts its packet type,
 // [200, 206] here, at byte 1, where RTP puts marker|payload_type — at
 // most 127 without the marker, at least 224 with it (PT >= 96) — so the
 // ranges never collide.
-bool IsRtcp(const std::vector<uint8_t>& data);
+bool IsRtcp(std::span<const uint8_t> data);
 
 }  // namespace gso::net
 

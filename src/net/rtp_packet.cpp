@@ -20,9 +20,13 @@ size_t RtpPacket::WireSize() const {
   return 12 + (transport_sequence ? 8u : 0u) + payload_size;
 }
 
-std::vector<uint8_t> RtpPacket::Serialize() const {
+size_t RtpPacket::SerializedSize() const {
+  return 12 + (transport_sequence ? 8u : 0u) + kPayloadDescriptorSize;
+}
+
+size_t RtpPacket::SerializeTo(uint8_t* out) const {
   const bool has_ext = transport_sequence.has_value();
-  ByteWriter w(12 + (has_ext ? 8u : 0u) + kPayloadDescriptorSize);
+  BufferWriter w(out);
   w.WriteU8(static_cast<uint8_t>(kRtpVersion << 6 | (has_ext ? 0x10 : 0)));
   w.WriteU8(static_cast<uint8_t>((marker ? 0x80 : 0) | payload_type));
   w.WriteU16(sequence_number);
@@ -40,10 +44,16 @@ std::vector<uint8_t> RtpPacket::Serialize() const {
   w.WriteU16(packet_index);
   w.WriteU16(packets_in_frame);
   w.WriteU8(is_keyframe ? kFlagKeyframe : 0);
-  return w.Take();
+  return w.size();
 }
 
-std::optional<RtpPacket> RtpPacket::Parse(const std::vector<uint8_t>& data) {
+std::vector<uint8_t> RtpPacket::Serialize() const {
+  std::vector<uint8_t> bytes(SerializedSize());
+  SerializeTo(bytes.data());
+  return bytes;
+}
+
+std::optional<RtpPacket> RtpPacket::Parse(std::span<const uint8_t> data) {
   ByteReader r(data);
   RtpPacket p;
   const uint8_t b0 = r.ReadU8();

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -45,8 +46,15 @@ struct RtpPacket {
   // + payload.
   size_t WireSize() const;
 
+  // Length of the serialized form: the 12-byte header (+8 with the
+  // extension) plus the 13-byte payload descriptor that stands in for the
+  // size-only payload.
+  size_t SerializedSize() const;
+  // Writes the serialized form to `out`, which has room for
+  // SerializedSize() bytes; returns that size.
+  size_t SerializeTo(uint8_t* out) const;
   std::vector<uint8_t> Serialize() const;
-  static std::optional<RtpPacket> Parse(const std::vector<uint8_t>& data);
+  static std::optional<RtpPacket> Parse(std::span<const uint8_t> data);
 };
 
 }  // namespace gso::net

@@ -216,7 +216,7 @@ void GossipFabric::ArmRetry(int from, int to, uint64_t seq, int attempt) {
 }
 
 void GossipFabric::HandlePacket(int from, int to,
-                                const std::vector<uint8_t>& data) {
+                                std::span<const uint8_t> data) {
   Agent& receiver = agents_[static_cast<size_t>(to)];
   if (!receiver.alive) return;  // dead shards drop ingress
   if (data.empty()) return;

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -152,7 +153,7 @@ class GossipFabric {
   void SendSummary(int from, int to, const std::vector<uint8_t>& payload,
                    uint64_t seq);
   void ArmRetry(int from, int to, uint64_t seq, int attempt);
-  void HandlePacket(int from, int to, const std::vector<uint8_t>& data);
+  void HandlePacket(int from, int to, std::span<const uint8_t> data);
   void RefreshSuspicion(int observer, int peer);
 
   sim::EventLoop* loop_;

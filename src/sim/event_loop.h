@@ -103,7 +103,7 @@ class EventLoop {
     if (!any) return;
     std::erase_if(queue_,
                   [this](const Event& ev) { return IsCancelled(ev.owner); });
-    std::make_heap(queue_.begin(), queue_.end(), Event::Later);
+    std::make_heap(queue_.begin(), queue_.end(), Event::Later{});
     for (uint64_t owner = 1; owner < cancelled_.size(); ++owner) {
       if (cancelled_[owner] != 0) {
         cancelled_[owner] = 0;
@@ -121,7 +121,7 @@ class EventLoop {
     if (IsCancelled(current_owner_)) return false;
     if (when < now_) when = now_;
     queue_.push_back(Event{when, next_seq_++, current_owner_, std::move(task)});
-    std::push_heap(queue_.begin(), queue_.end(), Event::Later);
+    std::push_heap(queue_.begin(), queue_.end(), Event::Later{});
     return true;
   }
 
@@ -145,7 +145,7 @@ class EventLoop {
       // pop_heap moves the minimum to the back, from where it can be moved
       // out without const_cast (std::priority_queue::top() only exposes a
       // const reference, which made moving the task out UB-adjacent).
-      std::pop_heap(queue_.begin(), queue_.end(), Event::Later);
+      std::pop_heap(queue_.begin(), queue_.end(), Event::Later{});
       Event ev = std::move(queue_.back());
       queue_.pop_back();
       now_ = ev.when;
@@ -176,10 +176,12 @@ class EventLoop {
 
     // Min-heap comparator: a sorts after b when it fires later (or was
     // scheduled later at the same instant).
-    static bool Later(const Event& a, const Event& b) {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
+    struct Later {
+      bool operator()(const Event& a, const Event& b) const {
+        if (a.when != b.when) return a.when > b.when;
+        return a.seq > b.seq;
+      }
+    };
   };
 
   Timestamp now_ = Timestamp::Zero();

@@ -76,12 +76,12 @@ void Link::Send(Packet packet) {
   if (!loop_->At(delivery, [this, seq] { Deliver(seq); })) return;
   ++next_seq_;
   in_flight_.push_back(InFlight{delivery, seq, std::move(packet)});
-  std::push_heap(in_flight_.begin(), in_flight_.end(), InFlight::Later);
+  std::push_heap(in_flight_.begin(), in_flight_.end(), InFlight::Later{});
 }
 
 void Link::Deliver(uint64_t seq) {
   GSO_CHECK(!in_flight_.empty() && in_flight_.front().seq == seq);
-  std::pop_heap(in_flight_.begin(), in_flight_.end(), InFlight::Later);
+  std::pop_heap(in_flight_.begin(), in_flight_.end(), InFlight::Later{});
   // Moved out before the sink runs: the sink may send on this link again.
   const Packet packet = std::move(in_flight_.back().packet);
   in_flight_.pop_back();

@@ -9,7 +9,10 @@
 #define GSO_SIM_LINK_H_
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,10 +22,80 @@
 
 namespace gso::sim {
 
+// The bytes of one datagram. Up to kInline bytes — every serialized RTP
+// packet — live inside the object, so carrying them costs no allocation;
+// larger datagrams (RTCP compounds, gossip) take one heap block of exactly
+// their size. Converts to std::span<const uint8_t> for the parsers.
+class PacketBytes {
+ public:
+  static constexpr size_t kInline = 40;
+
+  PacketBytes() = default;
+  explicit PacketBytes(std::span<const uint8_t> bytes) { Assign(bytes); }
+  PacketBytes(std::initializer_list<uint8_t> bytes)
+      : PacketBytes(std::span<const uint8_t>(bytes.begin(), bytes.size())) {}
+  PacketBytes(const PacketBytes& other) { Assign(other); }
+  PacketBytes(PacketBytes&& other) noexcept { Steal(other); }
+  PacketBytes& operator=(const PacketBytes& other) {
+    if (this != &other) Assign(other);
+    return *this;
+  }
+  PacketBytes& operator=(PacketBytes&& other) noexcept {
+    if (this != &other) {
+      Free();
+      Steal(other);
+    }
+    return *this;
+  }
+  ~PacketBytes() { Free(); }
+
+  // Discards the contents and returns `size` writable bytes to fill.
+  uint8_t* Reset(size_t size) {
+    Free();
+    size_ = static_cast<uint32_t>(size);
+    if (size_ <= kInline) return storage_.bytes;
+    storage_.heap = new uint8_t[size];
+    return storage_.heap;
+  }
+
+  const uint8_t* data() const {
+    return size_ <= kInline ? storage_.bytes : storage_.heap;
+  }
+  size_t size() const { return size_; }
+  const uint8_t* begin() const { return data(); }
+  const uint8_t* end() const { return data() + size_; }
+  uint8_t operator[](size_t i) const { return data()[i]; }
+
+ private:
+  void Assign(std::span<const uint8_t> bytes) {
+    uint8_t* out = Reset(bytes.size());
+    // An empty span's data() may be null: memcpy(_, null, 0) is still UB.
+    if (!bytes.empty()) std::memcpy(out, bytes.data(), bytes.size());
+  }
+  // Takes `other`'s bytes, or its heap block, whole: a fixed-size copy of
+  // the storage, with no branch on where the bytes live.
+  void Steal(PacketBytes& other) {
+    storage_ = other.storage_;
+    size_ = other.size_;
+    other.size_ = 0;
+  }
+  void Free() {
+    if (size_ > kInline) delete[] storage_.heap;
+    size_ = 0;
+  }
+
+  union Storage {
+    uint8_t bytes[kInline];
+    uint8_t* heap;  // when size_ > kInline
+  };
+  Storage storage_{};
+  uint32_t size_ = 0;
+};
+
 // A packet on the wire. `data` holds the serialized protocol bytes;
 // `wire_size` is what the link charges for it (payload + UDP/IP overhead).
 struct Packet {
-  std::vector<uint8_t> data;
+  PacketBytes data;
   DataSize wire_size;
   Timestamp first_send_time;  // stamped by the original sender
 };
@@ -166,10 +239,12 @@ class Link {
     Packet packet;
 
     // Min-heap comparator on (delivery, seq).
-    static bool Later(const InFlight& a, const InFlight& b) {
-      if (a.delivery != b.delivery) return a.delivery > b.delivery;
-      return a.seq > b.seq;
-    }
+    struct Later {
+      bool operator()(const InFlight& a, const InFlight& b) const {
+        if (a.delivery != b.delivery) return a.delivery > b.delivery;
+        return a.seq > b.seq;
+      }
+    };
   };
 
   bool DrawLoss();

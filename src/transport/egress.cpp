@@ -10,10 +10,11 @@ constexpr int64_t kUdpIpOverheadBytes = 28;
 
 }  // namespace
 
-void SendDatagram(sim::Link& link, Timestamp now, std::vector<uint8_t> data) {
+void SendDatagram(sim::Link& link, Timestamp now,
+                  std::span<const uint8_t> data) {
   const DataSize wire = DataSize::Bytes(static_cast<int64_t>(data.size()) +
                                         kUdpIpOverheadBytes);
-  link.Send(sim::Packet{std::move(data), wire, now});
+  link.Send(sim::Packet{sim::PacketBytes(data), wire, now});
 }
 
 Egress::Egress(sim::EventLoop* loop, BweConfig config, Ssrc padding_ssrc,
@@ -32,12 +33,16 @@ net::RtpPacket Egress::SendRtp(net::RtpPacket packet,
   packet.transport_sequence = next_transport_seq_++;
   const DataSize wire = WireSize(packet);
   bwe_.OnPacketSent(*packet.transport_sequence, now, wire, probe_cluster);
-  link_->Send(sim::Packet{packet.Serialize(), wire, now});
+  sim::Packet datagram{{}, wire, now};
+  packet.SerializeTo(datagram.data.Reset(packet.SerializedSize()));
+  link_->Send(std::move(datagram));
   return packet;
 }
 
 void Egress::SendRtcp(const std::vector<net::RtcpMessage>& messages) {
-  SendDatagram(*link_, loop_->Now(), net::SerializeCompound(messages));
+  rtcp_writer_.Clear();
+  net::SerializeCompound(messages, rtcp_writer_);
+  SendDatagram(*link_, loop_->Now(), rtcp_writer_.data());
 }
 
 void Egress::SendPadding(int cluster) {

@@ -7,10 +7,12 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/units.h"
+#include "net/byte_io.h"
 #include "net/rtcp_packets.h"
 #include "net/rtp_packet.h"
 #include "sim/event_loop.h"
@@ -19,10 +21,11 @@
 
 namespace gso::transport {
 
-// Sends `data` as one datagram on `link`, charged at its size plus UDP/IP
-// headers. Traffic without a transport-wide sequence on links without a
-// BWE (node-to-node RTCP relay, shard gossip) uses this directly.
-void SendDatagram(sim::Link& link, Timestamp now, std::vector<uint8_t> data);
+// Sends a copy of `data` as one datagram on `link`, charged at its size
+// plus UDP/IP headers. Traffic without a transport-wide sequence on links
+// without a BWE (node-to-node RTCP relay, shard gossip) uses this directly.
+void SendDatagram(sim::Link& link, Timestamp now,
+                  std::span<const uint8_t> data);
 
 class Egress {
  public:
@@ -40,10 +43,12 @@ class Egress {
   static DataSize WireSize(net::RtpPacket packet);
 
   // Stamps the next transport-wide sequence number, registers the packet
-  // with the BWE (under `probe_cluster` for probe padding) and sends it.
-  // Returns the stamped packet.
+  // with the BWE (under `probe_cluster` for probe padding) and sends it,
+  // serialized straight into the datagram. Returns the stamped packet.
   net::RtpPacket SendRtp(net::RtpPacket packet,
                          std::optional<int> probe_cluster = std::nullopt);
+  // Sends `messages` as one compound, written into a reused buffer and
+  // copied into the datagram at its exact size.
   void SendRtcp(const std::vector<net::RtcpMessage>& messages);
   // Sends one probe-padding packet of `cluster`: receivers feed transport
   // feedback from it and drop it.
@@ -59,6 +64,7 @@ class Egress {
   uint16_t next_transport_seq_ = 0;
   int next_probe_cluster_ = 1;
   uint16_t padding_seq_ = 0;
+  net::ByteWriter rtcp_writer_;
 };
 
 }  // namespace gso::transport

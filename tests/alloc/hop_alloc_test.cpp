@@ -1,18 +1,25 @@
 // Allocation discipline of one forwarding hop: after warm-up, carrying a
-// packet across a link, keeping sent-packet history and logging arrivals
-// for transport feedback allocate nothing, and serializing an RTP packet
-// allocates its buffer exactly once. The counting operator new lives in
-// warm_alloc_test.cpp for this binary.
+// packet across a link, sending RTP through an Egress, keeping sent-packet
+// history, caching packets for retransmission, logging arrivals for
+// transport feedback and assembling a frame's packets allocate nothing; an
+// RTCP compound costs at most its one datagram copy, and serializing an
+// RTP packet to a vector allocates that vector exactly once. The counting
+// operator new lives in warm_alloc_test.cpp for this binary.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/alloc_tracker.h"
 #include "common/rng.h"
+#include "media/jitter_buffer.h"
+#include "media/rtx_cache.h"
+#include "net/rtcp_packets.h"
 #include "net/rtp_packet.h"
 #include "sim/event_loop.h"
 #include "sim/link.h"
+#include "transport/egress.h"
 #include "transport/feedback_builder.h"
 #include "transport/packet_history.h"
 
@@ -42,7 +49,7 @@ TEST(HopAlloc, LinkSendAndDeliveryAllocateNothing) {
   auto burst = [&] {
     std::vector<sim::Packet> packets(64);
     for (auto& p : packets) {
-      p.data.assign(33, 0xAB);
+      p.data = sim::PacketBytes(std::vector<uint8_t>(33, 0xAB));
       p.wire_size = DataSize::Bytes(61);
     }
     return packets;
@@ -122,6 +129,158 @@ TEST(HopAlloc, RtpSerializeAllocatesOnce) {
     EXPECT_EQ(bytes.size(), bytes.capacity());
     EXPECT_TRUE(net::RtpPacket::Parse(bytes).has_value());
   }
+}
+
+// Egress::SendRtp serializes straight into the datagram's inline bytes,
+// so a stamped send plus its delivery allocates nothing once the link's
+// heap and the event queue have grown. The receiver answers every round
+// with transport feedback, outside the count, as a real one does: that
+// keeps the send history inside its ring.
+TEST(HopAlloc, EgressSendRtpAndDeliveryAllocateNothing) {
+  if (!alloc::tracker_active()) {
+    GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+  }
+  sim::EventLoop loop;
+  sim::Link link(&loop, sim::LinkConfig::Wifi(), Rng(5));
+  transport::Egress egress(&loop, transport::BweConfig{}, Ssrc(0x80000001u),
+                           &link);
+  transport::FeedbackBuilder feedback;
+  int64_t delivered = 0;
+  link.SetSink([&](const sim::Packet& p) {
+    const auto parsed = net::RtpPacket::Parse(p.data);
+    if (parsed && parsed->transport_sequence) {
+      feedback.OnPacketArrived(*parsed->transport_sequence, loop.Now());
+      ++delivered;
+    }
+  });
+  net::RtpPacket packet;
+  packet.ssrc = Ssrc(7);
+  packet.payload_size = 1100;
+  for (int round = 0; round < 20; ++round) {
+    const int64_t allocations = CountAllocations([&] {
+      for (int i = 0; i < 64; ++i) {
+        ++packet.sequence_number;
+        egress.SendRtp(packet);
+      }
+      loop.RunAll();
+    });
+    if (round >= 5) {
+      EXPECT_EQ(allocations, 0) << "round " << round;
+    }
+    const auto fb = feedback.Build(Ssrc(1));
+    ASSERT_TRUE(fb.has_value());
+    egress.bwe().OnFeedback(*fb, loop.Now());
+  }
+  EXPECT_EQ(delivered, 20 * 64);
+}
+
+// A full stream takes each new packet into the slot its evicted front
+// frees; retransmissions overwrite in place and stragglers below the
+// window are dropped without touching the heap.
+TEST(HopAlloc, SteadyRtxCachePutAllocatesNothing) {
+  if (!alloc::tracker_active()) {
+    GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+  }
+  media::RtxCache cache;
+  net::RtpPacket packet;
+  packet.ssrc = Ssrc(3);
+  packet.payload_size = 1000;
+  uint16_t seq = 60000;  // wraps during the run
+  auto run = [&](int packets) {
+    for (int i = 0; i < packets; ++i) {
+      packet.sequence_number = seq++;
+      cache.Put(packet);
+      if (i % 10 == 0) {  // a retransmission and a straggler
+        packet.sequence_number = static_cast<uint16_t>(seq - 3);
+        cache.Put(packet);
+        packet.sequence_number = static_cast<uint16_t>(seq - 900);
+        cache.Put(packet);
+      }
+    }
+  };
+  run(2000);
+  EXPECT_EQ(CountAllocations([&] { run(100000); }), 0);
+  EXPECT_TRUE(cache.Get(Ssrc(3), static_cast<uint16_t>(seq - 512)));
+  EXPECT_FALSE(cache.Get(Ssrc(3), static_cast<uint16_t>(seq - 513)));
+}
+
+// An RTCP compound is written into the egress's reused buffer and copied
+// into the datagram at its exact size: one allocation when it is larger
+// than the inline bytes (a feedback report), none when it fits (a PLI).
+TEST(HopAlloc, RtcpCompoundAllocatesAtMostOnce) {
+  if (!alloc::tracker_active()) {
+    GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+  }
+  sim::EventLoop loop;
+  sim::Link link(&loop, sim::LinkConfig{}, Rng(6));
+  transport::Egress egress(&loop, transport::BweConfig{}, Ssrc(0x80000002u),
+                           &link);
+  int64_t delivered = 0;
+  link.SetSink([&](const sim::Packet& p) { delivered += net::IsRtcp(p.data); });
+  net::TransportFeedback report;
+  report.sender_ssrc = Ssrc(1);
+  for (uint16_t i = 0; i < 100; ++i) {
+    report.packets.push_back({i, i % 9 != 4, 40u * i});
+  }
+  const std::vector<net::RtcpMessage> feedback = {report};
+  const std::vector<net::RtcpMessage> pli = {net::Pli{Ssrc(1), Ssrc(2)}};
+  auto send = [&](const std::vector<net::RtcpMessage>& messages) {
+    return CountAllocations([&] {
+      egress.SendRtcp(messages);
+      loop.RunAll();
+    });
+  };
+  send(feedback);
+  send(pli);
+  for (int round = 0; round < 10; ++round) {
+    EXPECT_LE(send(feedback), 1) << "round " << round;
+    EXPECT_EQ(send(pli), 0) << "round " << round;
+  }
+  EXPECT_EQ(delivered, 22);
+}
+
+// A frame's packets, shuffled, cost the jitter buffer its frame entry and
+// the decoded-frame list, however many packets the frame has: the per
+// frame index set is an inline bitset.
+TEST(HopAlloc, JitterBufferFrameCostsNoAllocationPerPacket) {
+  if (!alloc::tracker_active()) {
+    GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+  }
+  media::JitterBuffer buffer;
+  Rng rng(8);
+  uint16_t seq = 65000;  // wraps during the run
+  Timestamp now = Timestamp::Millis(1);
+  auto frame = [&](uint32_t frame_id, uint16_t count) {
+    std::vector<net::RtpPacket> packets(count);
+    for (uint16_t i = 0; i < count; ++i) {
+      packets[i].ssrc = Ssrc(1);
+      packets[i].sequence_number = seq++;
+      packets[i].frame_id = frame_id;
+      packets[i].packet_index = i;
+      packets[i].packets_in_frame = count;
+      packets[i].is_keyframe = frame_id == 1;
+      packets[i].payload_size = 1100;
+    }
+    for (size_t i = packets.size(); i > 1; --i) {
+      std::swap(packets[i - 1], packets[static_cast<size_t>(rng.UniformInt(
+                                    0, static_cast<int64_t>(i) - 1))]);
+    }
+    return packets;
+  };
+  for (uint32_t frame_id = 1; frame_id <= 20; ++frame_id) {
+    const std::vector<net::RtpPacket> packets =
+        frame(frame_id, frame_id % 2 == 0 ? 200 : 5);
+    size_t decoded = 0;
+    const int64_t allocations = CountAllocations([&] {
+      for (const auto& p : packets) {
+        now += TimeDelta::Micros(300);
+        decoded += buffer.Insert(p, now).size();
+      }
+    });
+    EXPECT_EQ(decoded, 1u) << "frame " << frame_id;
+    EXPECT_LE(allocations, 2) << "frame " << frame_id;
+  }
+  EXPECT_EQ(buffer.frames_decoded(), 20);
 }
 
 }  // namespace

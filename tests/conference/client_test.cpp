@@ -59,7 +59,7 @@ class ClientHarness {
   // Sends an RTCP compound from "the node" to the client.
   void InjectRtcp(const std::vector<net::RtcpMessage>& messages) {
     sim::Packet packet;
-    packet.data = net::SerializeCompound(messages);
+    packet.data = sim::PacketBytes(net::SerializeCompound(messages));
     packet.wire_size = DataSize::Bytes(
         static_cast<int64_t>(packet.data.size()));
     client_.OnPacketFromNode(packet);

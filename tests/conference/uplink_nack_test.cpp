@@ -70,7 +70,7 @@ class UplinkHarness {
     rtp.sequence_number = seq;
     rtp.payload_size = 1000;
     sim::Packet packet;
-    packet.data = rtp.Serialize();
+    packet.data = sim::PacketBytes(rtp.Serialize());
     packet.wire_size = DataSize::Bytes(static_cast<int64_t>(rtp.WireSize()));
     node_.OnClientPacket(from, packet);
   }

@@ -268,7 +268,7 @@ TEST(Rtcp, CompoundPreservesOrderAndCount) {
 
 TEST(Rtcp, ParseToleratesGarbage) {
   EXPECT_TRUE(ParseCompound({}).empty());
-  EXPECT_TRUE(ParseCompound({0x00, 0x01, 0x02}).empty());
+  EXPECT_TRUE(ParseCompound(std::vector<uint8_t>{0x00, 0x01, 0x02}).empty());
   // Valid version but absurd length field: parser must stop cleanly.
   std::vector<uint8_t> bogus = {0x80, 200, 0xFF, 0xFF};
   EXPECT_TRUE(ParseCompound(bogus).empty());
@@ -287,12 +287,12 @@ TEST(Rtcp, TruncatedCompoundKeepsCompletePrefix) {
 
 TEST(Rtcp, IsRtcpDemuxBoundaries) {
   EXPECT_FALSE(IsRtcp({}));
-  EXPECT_FALSE(IsRtcp({0x80}));
+  EXPECT_FALSE(IsRtcp(std::vector<uint8_t>{0x80}));
   // Byte 1 decides: RTCP packet types span [200, 206].
-  EXPECT_FALSE(IsRtcp({0x80, 199}));
-  EXPECT_TRUE(IsRtcp({0x80, 200}));
-  EXPECT_TRUE(IsRtcp({0x80, 206}));
-  EXPECT_FALSE(IsRtcp({0x80, 207}));
+  EXPECT_FALSE(IsRtcp(std::vector<uint8_t>{0x80, 199}));
+  EXPECT_TRUE(IsRtcp(std::vector<uint8_t>{0x80, 200}));
+  EXPECT_TRUE(IsRtcp(std::vector<uint8_t>{0x80, 206}));
+  EXPECT_FALSE(IsRtcp(std::vector<uint8_t>{0x80, 207}));
   // RTP PT 96 with the marker set puts 224 there: above the RTCP range.
   RtpPacket rtp;
   rtp.payload_type = kVideoPayloadType;

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace gso::net {
 namespace {
 
@@ -92,6 +95,25 @@ TEST(RtpPacket, UnknownExtensionIdIsSkipped) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_FALSE(parsed->transport_sequence.has_value());
   EXPECT_EQ(parsed->frame_id, p.frame_id);
+}
+
+// SerializeTo is the one definition of the wire form: it writes exactly
+// SerializedSize() bytes, the same ones Serialize() returns.
+TEST(RtpPacket, SerializeToWritesSerializeBytes) {
+  for (const bool with_extension : {false, true}) {
+    RtpPacket p = Sample();
+    if (!with_extension) p.transport_sequence.reset();
+    const std::vector<uint8_t> expected = p.Serialize();
+    EXPECT_EQ(p.SerializedSize(), with_extension ? 33u : 25u);
+    ASSERT_EQ(expected.size(), p.SerializedSize());
+    std::vector<uint8_t> out(p.SerializedSize() + 8, 0xEE);  // guard tail
+    EXPECT_EQ(p.SerializeTo(out.data()), p.SerializedSize());
+    EXPECT_TRUE(std::equal(expected.begin(), expected.end(), out.begin()))
+        << "extension " << with_extension;
+    for (size_t i = p.SerializedSize(); i < out.size(); ++i) {
+      EXPECT_EQ(out[i], 0xEE) << "wrote past the end at " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 #include <vector>
@@ -209,13 +210,64 @@ TEST(Link, PayloadBytesSurviveTransit) {
   EventLoop loop;
   Link link(&loop, LinkConfig{}, Rng(9));
   std::vector<uint8_t> received;
-  link.SetSink([&](const Packet& p) { received = p.data; });
+  link.SetSink([&](const Packet& p) {
+    received.assign(p.data.begin(), p.data.end());
+  });
   Packet p;
   p.data = {1, 2, 3, 4, 5};
   p.wire_size = DataSize::Bytes(100);
   link.Send(p);
   loop.RunAll();
   EXPECT_EQ(received, (std::vector<uint8_t>{1, 2, 3, 4, 5}));
+}
+
+// Datagrams of every size cross a link unchanged: empty, the largest
+// inline size, the smallest heap size and a ~1 KB compound.
+TEST(Link, BytesOfEverySizeSurviveTransit) {
+  EventLoop loop;
+  Link link(&loop, LinkConfig{}, Rng(9));
+  std::vector<std::vector<uint8_t>> received;
+  link.SetSink([&](const Packet& p) {
+    received.emplace_back(p.data.begin(), p.data.end());
+  });
+  std::vector<std::vector<uint8_t>> sent;
+  for (const size_t size : {size_t{0}, PacketBytes::kInline,
+                            PacketBytes::kInline + 1, size_t{1021}}) {
+    std::vector<uint8_t> bytes(size);
+    for (size_t i = 0; i < size; ++i) {
+      bytes[i] = static_cast<uint8_t>(i * 7 + size);
+    }
+    Packet p;
+    p.data = PacketBytes(bytes);
+    p.wire_size = DataSize::Bytes(static_cast<int64_t>(size) + 28);
+    link.Send(p);  // a copy; `p` still owns its bytes
+    EXPECT_TRUE(std::ranges::equal(p.data, bytes));
+    link.Send(std::move(p));
+    sent.push_back(bytes);
+    sent.push_back(bytes);
+  }
+  loop.RunAll();
+  EXPECT_EQ(received, sent);
+}
+
+TEST(PacketBytes, CopiesAndMovesKeepTheBytes) {
+  for (const size_t size : {size_t{3}, size_t{200}}) {
+    std::vector<uint8_t> bytes(size);
+    for (size_t i = 0; i < size; ++i) bytes[i] = static_cast<uint8_t>(i);
+    PacketBytes a(bytes);
+    PacketBytes b = a;
+    EXPECT_TRUE(std::ranges::equal(a, bytes));
+    EXPECT_TRUE(std::ranges::equal(b, bytes));
+    PacketBytes c = std::move(a);
+    EXPECT_TRUE(std::ranges::equal(c, bytes));
+    EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+    b = PacketBytes{9, 8};
+    EXPECT_EQ(std::vector<uint8_t>(b.begin(), b.end()),
+              (std::vector<uint8_t>{9, 8}));
+    const PacketBytes& self = c;
+    c = self;
+    EXPECT_TRUE(std::ranges::equal(c, bytes));
+  }
 }
 
 TEST(LinkConfigPresets, FactoryPresetsSetExpectedFields) {

@@ -47,6 +47,21 @@ TEST_F(EgressTest, TransportSequenceIncrementsAndWraps) {
   EXPECT_EQ(egress_.SendRtp(Media(100)).transport_sequence, 1);
 }
 
+// SendRtp serializes straight into the datagram: the bytes on the wire
+// are Serialize() of the stamped packet.
+TEST_F(EgressTest, DatagramHoldsTheStampedPacketsBytes) {
+  net::RtpPacket packet = Media(900);
+  packet.sequence_number = 77;
+  packet.frame_id = 12;
+  packet.is_keyframe = true;
+  const auto sent = egress_.SendRtp(packet);
+  loop_.RunAll();
+  ASSERT_EQ(delivered_.size(), 1u);
+  const sim::PacketBytes& bytes = delivered_[0].data;
+  EXPECT_EQ(std::vector<uint8_t>(bytes.begin(), bytes.end()),
+            sent.Serialize());
+}
+
 TEST_F(EgressTest, WireSizeIsStampedRtpPlusUdpIp) {
   const net::RtpPacket packet = Media(1000);
   const auto sent = egress_.SendRtp(packet);
@@ -103,7 +118,8 @@ TEST_F(EgressTest, RtcpIsChargedAtSerializedSizePlusUdpIp) {
   loop_.RunAll();
   ASSERT_EQ(delivered_.size(), 2u);
   for (const sim::Packet& wire : delivered_) {
-    EXPECT_EQ(wire.data, bytes);
+    EXPECT_EQ(std::vector<uint8_t>(wire.data.begin(), wire.data.end()),
+              bytes);
     EXPECT_TRUE(net::IsRtcp(wire.data));
     EXPECT_EQ(wire.wire_size, DataSize::Bytes(static_cast<int64_t>(
                                                   bytes.size()) +
