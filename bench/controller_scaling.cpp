@@ -6,8 +6,10 @@
 // (SolveWarm) for the controller's steady-state event kinds: a single
 // bandwidth report, a subscriber join, a subscriber leave. Every warm
 // measurement is verified bit-identical against a cold solve before it is
-// timed. Results are written as JSON (with the host's CPU count) so
-// successive PRs can record a perf trajectory (see BENCH_controller.json
+// timed. Results are written as BENCH rows (bench/bench_json.h): per shape
+// the wall_ns_per_solve latency and the wall_timed_solves of the kept batch
+// (both read off the host clock), and the solution's total_qoe and
+// iterations, which no optimization may change (see BENCH_controller.json
 // at the repo root and tools/perf_gate.py).
 //
 // With --trace-out=FILE it additionally dumps one observability trace per
@@ -22,9 +24,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench/bench_json.h"
 #include "bench/support.h"
 #include "core/mckp.h"
 #include "core/orchestrator.h"
@@ -43,8 +45,6 @@ struct Shape {
 
 struct Row {
   std::string shape;
-  std::string mode = "cold";  // "cold" or "warm_delta"
-  int threads = 1;  // always 1 (Step 1 is serial); kept in the JSON schema
   double ns_per_solve = 0.0;
   int solves = 0;
   double total_qoe = 0.0;  // sanity: must not change across optimizations
@@ -140,7 +140,6 @@ Row TimeDeltaShape(const std::string& name, double min_seconds,
                    RestoreFn&& restore) {
   Row row;
   row.shape = name;
-  row.mode = "warm_delta";
 
   DpMckpSolver cold_solver;
   const Orchestrator cold(&cold_solver);
@@ -289,19 +288,6 @@ void RecordSolveTraces(obs::MetricsRegistry* registry,
   }
 }
 
-void AppendRow(std::string* json, const Row& row, bool first) {
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "%s    {\"shape\": \"%s\", \"mode\": \"%s\", "
-                "\"threads\": %d, "
-                "\"ns_per_solve\": %.0f, \"solves\": %d, "
-                "\"total_qoe\": %.6f, \"iterations\": %d}",
-                first ? "" : ",\n", row.shape.c_str(), row.mode.c_str(),
-                row.threads, row.ns_per_solve, row.solves, row.total_qoe,
-                row.iterations);
-  *json += buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -368,19 +354,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::string json = "{\n  \"label\": \"" + label +
-                     "\",\n  \"unit\": \"ns/solve\",\n  \"host_cpus\": " +
-                     std::to_string(std::thread::hardware_concurrency()) +
-                     ",\n  \"results\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) AppendRow(&json, rows[i], i == 0);
-  json += "\n  ]\n}\n";
-  std::FILE* f = std::fopen(out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out.c_str());
-    return 1;
+  gso::bench::BenchJson json(label);
+  for (const Row& row : rows) {
+    json.Add(row.shape, "wall_ns_per_solve", "ns", row.ns_per_solve);
+    json.Add(row.shape, "wall_timed_solves", "count", row.solves);
+    json.Add(row.shape, "total_qoe", "score", row.total_qoe, 6);
+    json.Add(row.shape, "iterations", "count", row.iterations);
   }
-  std::fputs(json.c_str(), f);
-  std::fclose(f);
+  if (!json.Write(out)) return 1;
   std::printf("wrote %s\n", out.c_str());
 
   if (!trace_out.empty()) {

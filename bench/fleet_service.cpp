@@ -4,18 +4,18 @@
 // concurrent conferences, sustain it under join/leave churn plus periodic
 // fault waves (link flaps, control-channel loss, controller crashes,
 // in-meeting participant churn), and measure
-//  - service throughput (wall ns per committed solve),
+//  - the storm's wall time and the solves it committed,
 //  - p99 solve-queue latency (wall clock, Push -> drain),
 //  - fleet QoE under the storm (mean and 5th-percentile satisfaction).
 //
 // Two storm sizes run: a 200-conference warmup shape and the 1000-
-// conference acceptance shape. The JSON uses the BENCH_controller row
-// format — (shape, mode, threads) + ns_per_solve — so tools/perf_gate.py
-// gates regressions with the same host normalization; queue p99 latency
-// is emitted as its own row (ns) for the same reason. The bench itself
-// fails (non-zero exit) when the fleet cannot sustain the target
-// concurrency or the QoE floor drops below kQoeFloorMin: load shedding
-// that starves meetings must fail the build, not just slow a metric.
+// conference acceptance shape. Each storm is one name in the BENCH rows
+// (bench/bench_json.h); its host-clock metrics are wall_seconds and
+// wall_queue_p99_us, which tools/perf_gate.py normalizes by host speed,
+// and its digest is bit-stable run to run. The bench itself fails
+// (non-zero exit) when the fleet cannot sustain the target concurrency or
+// the QoE floor drops below kQoeFloorMin: load shedding that starves
+// meetings must fail the build, not just slow a metric.
 //
 // The shard-kill suite (also reachable alone via --kill-shards) layers
 // whole-shard outages on a smaller sustained storm: a timed crash plus a
@@ -25,7 +25,7 @@
 // latency bounded, the fleet digest bit-identical across sequential vs
 // parallel shard scheduling and across gossip seeds with identical
 // delivery outcomes, and post-recovery fleet QoE within 5% of a fault-
-// free twin — and emits fleet_failover_* rows (recovery p99, degraded-
+// free twin — and emits a fleet_failover_* row (recovery p99, degraded-
 // window QoE floor) for the perf gate. --quick shrinks the suite to the
 // ASan CI profile (primary + twin only).
 //
@@ -37,9 +37,9 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench/bench_json.h"
 #include "common/stats.h"
 
 #include "obs/export.h"
@@ -67,7 +67,6 @@ struct StormShape {
 struct StormResult {
   StormShape shape;
   double wall_seconds = 0;
-  double ns_per_solve = 0;
   double queue_p50_us = 0;
   double queue_p99_us = 0;
   uint64_t solves = 0;
@@ -116,10 +115,6 @@ StormResult RunStorm(const StormShape& shape, obs::MetricsRegistry* registry) {
   result.qoe_floor = report.p5_satisfaction;
   result.digest = report.digest;
   result.churn = storm.stats();
-  if (report.solves > 0) {
-    result.ns_per_solve = result.wall_seconds * 1e9 /
-                          static_cast<double>(report.solves);
-  }
   // Queue latency: report the worst shard's percentiles — the gate cares
   // about the slowest queue, which is exactly the max.
   for (int i = 0; i < svc.num_shards(); ++i) {
@@ -162,7 +157,6 @@ struct KillShape {
 
 struct KillResult {
   double wall_seconds = 0;
-  double ns_per_solve = 0;
   double queue_p99_us = 0;
   uint64_t solves = 0;
   uint64_t shed = 0;
@@ -225,10 +219,6 @@ KillResult RunKillStorm(const KillShape& shape, bool parallel_shards,
   result.mean_satisfaction = report.mean_satisfaction;
   result.qoe_floor = report.p5_satisfaction;
   result.digest = report.digest;
-  if (report.solves > 0) {
-    result.ns_per_solve =
-        result.wall_seconds * 1e9 / static_cast<double>(report.solves);
-  }
   for (int i = 0; i < svc.num_shards(); ++i) {
     SampleSet& shard_latency = svc.shard(i).queue_stats().queue_latency_us;
     if (shard_latency.empty()) continue;
@@ -368,7 +358,9 @@ void PrintResult(const StormResult& r) {
       "%llu outages, %llu member churns)\n",
       r.shape.name.c_str(), r.sustained_concurrent, r.completed,
       r.completed_per_wall_sec,
-      static_cast<unsigned long long>(r.solves), r.ns_per_solve / 1e6,
+      static_cast<unsigned long long>(r.solves),
+      r.solves > 0 ? r.wall_seconds * 1e3 / static_cast<double>(r.solves)
+                   : 0.0,
       static_cast<unsigned long long>(r.shed), r.queue_p50_us, r.queue_p99_us,
       r.mean_satisfaction, r.qoe_floor, r.wall_seconds,
       static_cast<unsigned long long>(r.churn.joins),
@@ -481,76 +473,43 @@ int main(int argc, char** argv) {
   KillResult kill_result;
   if (!RunKillSuite(kill, quick, &kill_result)) failed = true;
 
-  std::FILE* f = std::fopen(out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"label\": \"%s\",\n", label.c_str());
-  std::fprintf(f, "  \"unit\": \"ns/solve\",\n");
-  std::fprintf(f, "  \"qoe_floor_min\": %.2f,\n", kQoeFloorMin);
-  std::fprintf(f, "  \"host_cpus\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const StormResult& r = results[i];
-    const int threads = r.shape.num_shards;
-    std::fprintf(
-        f,
-        "    {\"shape\": \"%s\", \"mode\": \"service\", \"threads\": %d, "
-        "\"ns_per_solve\": %.0f, \"solves\": %llu, \"shed\": %llu, "
-        "\"concurrent\": %d, \"completed\": %d, "
-        "\"conferences_per_sec\": %.2f, \"mean_satisfaction\": %.6f, "
-        "\"qoe_floor\": %.6f, \"digest\": \"%016llx\"},\n",
-        r.shape.name.c_str(), threads, r.ns_per_solve,
-        static_cast<unsigned long long>(r.solves),
-        static_cast<unsigned long long>(r.shed), r.sustained_concurrent,
-        r.completed, r.completed_per_wall_sec, r.mean_satisfaction,
-        r.qoe_floor, static_cast<unsigned long long>(r.digest));
-    std::fprintf(
-        f,
-        "    {\"shape\": \"%s_queue_p99\", \"mode\": \"service\", "
-        "\"threads\": %d, \"ns_per_solve\": %.0f, \"solves\": %llu},\n",
-        r.shape.name.c_str(), threads, r.queue_p99_us * 1e3,
-        static_cast<unsigned long long>(r.solves));
+  gso::bench::BenchJson json(label);
+  // Metrics every storm shares; the QoE and digest rows are deterministic,
+  // the wall_* rows are the host-clock timings.
+  const auto add_storm = [&json](const std::string& name, int shards,
+                                 const auto& r) {
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016llx",
+                  static_cast<unsigned long long>(r.digest));
+    json.Add(name, "wall_seconds", "s", r.wall_seconds, 3);
+    json.Add(name, "wall_queue_p99_us", "us", r.queue_p99_us);
+    json.Add(name, "shards", "count", shards);
+    json.Add(name, "solves", "count", r.solves);
+    json.Add(name, "shed", "count", r.shed);
+    json.Add(name, "concurrent", "count", r.sustained_concurrent);
+    json.Add(name, "completed", "count", r.completed);
+    json.Add(name, "mean_satisfaction", "score", r.mean_satisfaction, 6);
+    json.Add(name, "qoe_floor", "score", r.qoe_floor, 6);
+    json.AddText(name, "digest", "hex", digest);
+  };
+  for (const StormResult& r : results) {
+    add_storm(r.shape.name, r.shape.num_shards, r);
   }
   {
     const KillResult& r = kill_result;
-    const int threads = kill.num_shards;
-    std::fprintf(
-        f,
-        "    {\"shape\": \"%s\", \"mode\": \"service\", \"threads\": %d, "
-        "\"ns_per_solve\": %.0f, \"solves\": %llu, \"shed\": %llu, "
-        "\"concurrent\": %d, \"completed\": %d, "
-        "\"conferences_per_sec\": %.2f, \"mean_satisfaction\": %.6f, "
-        "\"qoe_floor\": %.6f, \"shard_crashes\": %llu, "
-        "\"shard_restarts\": %llu, \"rehomed\": %llu, "
-        "\"limbo_removed\": %llu, \"rebalanced\": %llu, "
-        "\"recovery_p99_us\": %.0f, \"degraded_qoe_floor\": %.6f, "
-        "\"post_recovery_qoe\": %.6f, \"digest\": \"%016llx\"},\n",
-        kill.name.c_str(), threads, r.ns_per_solve,
-        static_cast<unsigned long long>(r.solves),
-        static_cast<unsigned long long>(r.shed), r.sustained_concurrent,
-        r.completed,
-        r.wall_seconds > 0 ? r.completed / r.wall_seconds : 0.0,
-        r.mean_satisfaction, r.qoe_floor,
-        static_cast<unsigned long long>(r.counters.shard_crashes),
-        static_cast<unsigned long long>(r.counters.shard_restarts),
-        static_cast<unsigned long long>(r.counters.conferences_rehomed),
-        static_cast<unsigned long long>(r.counters.limbo_removed),
-        static_cast<unsigned long long>(r.counters.rebalance_migrations),
-        r.recovery_p99_us, r.degraded_qoe_floor, r.window_mean,
-        static_cast<unsigned long long>(r.digest));
-    std::fprintf(
-        f,
-        "    {\"shape\": \"%s_queue_p99\", \"mode\": \"service\", "
-        "\"threads\": %d, \"ns_per_solve\": %.0f, \"solves\": %llu}\n",
-        kill.name.c_str(), threads, r.queue_p99_us * 1e3,
-        static_cast<unsigned long long>(r.solves));
+    const service::FailoverCounters& c = r.counters;
+    add_storm(kill.name, kill.num_shards, r);
+    json.Add(kill.name, "shard_crashes", "count", c.shard_crashes);
+    json.Add(kill.name, "shard_restarts", "count", c.shard_restarts);
+    json.Add(kill.name, "rehomed", "count", c.conferences_rehomed);
+    json.Add(kill.name, "limbo_removed", "count", c.limbo_removed);
+    json.Add(kill.name, "rebalanced", "count", c.rebalance_migrations);
+    json.Add(kill.name, "recovery_p99_us", "us", r.recovery_p99_us);
+    json.Add(kill.name, "degraded_qoe_floor", "score", r.degraded_qoe_floor,
+             6);
+    json.Add(kill.name, "post_recovery_qoe", "score", r.window_mean, 6);
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  if (!json.Write(out)) return 1;
   std::printf("\nwrote %s\n", out.c_str());
   return failed ? 1 : 0;
 }

@@ -32,9 +32,9 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench/bench_json.h"
 #define GSO_ALLOC_TRACKER_IMPL
 #include "common/alloc_tracker.h"
 #include "conference/scenarios.h"
@@ -102,7 +102,7 @@ MemorySample SampleMemory() {
 
 struct SoakResult {
   std::string shape;
-  int threads = 1;
+  int shards = 0;  // fleet phase only
   double wall_seconds = 0;
   double virtual_hours = 0;
   uint64_t solves = 0;
@@ -307,6 +307,13 @@ SoakResult RunConferenceSoak(int checkpoints, TimeDelta period,
   if (!writer.Close(registry)) {
     Fail(failures, "soak_conference: closing the metrics stream failed");
   }
+  if (result.samples_streamed == 0) {
+    Fail(failures, "soak_conference: the checkpoints streamed no samples");
+  }
+  if (knobs.faults && result.transitions_drained == 0) {
+    Fail(failures, "soak_conference: the checkpoints drained no fault "
+                   "transitions");
+  }
 
   // --- Steady-state memory gates ------------------------------------------
   result.live_alloc_growth = hour2.live_allocs - hour1.live_allocs;
@@ -355,7 +362,7 @@ SoakResult RunFleetSoak(int checkpoints, TimeDelta period,
   config.solve_backlog = 4;
   config.parallel_shards = true;
   config.metrics = &registry;
-  result.threads = config.num_shards;
+  result.shards = config.num_shards;
   service::OrchestrationService service(config);
 
   service::ChurnConfig churn;
@@ -515,48 +522,26 @@ int main(int argc, char** argv) {
   results.push_back(RunFleetSoak(fleet_checkpoints, period,
                                  trace_out + ".fleet", failures));
 
-  std::FILE* f = std::fopen(out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"label\": \"%s\",\n", label.c_str());
-  std::fprintf(f, "  \"unit\": \"ns/solve\",\n");
-  std::fprintf(f, "  \"qoe_floor_min\": %.2f,\n", kQoeFloorMin);
-  std::fprintf(f, "  \"tracker\": \"%s\",\n",
-               alloc::tracker_active() ? "native" : "sanitized");
-  std::fprintf(f, "  \"host_cpus\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const SoakResult& r = results[i];
-    const double ns_per_solve =
-        r.solves > 0 ? r.wall_seconds * 1e9 / static_cast<double>(r.solves)
-                     : 0.0;
+  gso::bench::BenchJson json(label);
+  for (const SoakResult& r : results) {
     const double allocs_per_vhour =
         r.virtual_hours > 0
-            ? std::max<double>(0.0, static_cast<double>(r.live_alloc_growth)) /
+            ? std::max<double>(0.0, r.live_alloc_growth) /
                   (r.virtual_hours / 2.0)
             : 0.0;
-    std::fprintf(
-        f,
-        "    {\"shape\": \"%s\", \"mode\": \"soak\", \"threads\": %d, "
-        "\"ns_per_solve\": %.0f, \"solves\": %llu, "
-        "\"virtual_hours\": %.3f, \"wall_seconds\": %.2f, "
-        "\"peak_rss_bytes\": %lld, \"allocs_per_vhour\": %.0f, "
-        "\"sanitizer_growth_bytes\": %lld, \"qoe_floor\": %.6f, "
-        "\"samples_streamed\": %llu, \"transitions_drained\": %llu}%s\n",
-        r.shape.c_str(), r.threads, ns_per_solve,
-        static_cast<unsigned long long>(r.solves), r.virtual_hours,
-        r.wall_seconds, static_cast<long long>(r.peak_rss_kb) * 1024,
-        allocs_per_vhour, static_cast<long long>(r.sanitizer_growth_bytes),
-        r.qoe_floor, static_cast<unsigned long long>(r.samples_streamed),
-        static_cast<unsigned long long>(r.transitions_drained),
-        i + 1 < results.size() ? "," : "");
+    json.Add(r.shape, "wall_seconds", "s", r.wall_seconds, 2);
+    if (r.shards > 0) json.Add(r.shape, "shards", "count", r.shards);
+    json.Add(r.shape, "solves", "count", r.solves);
+    json.Add(r.shape, "virtual_hours", "h", r.virtual_hours, 3);
+    json.Add(r.shape, "peak_rss_bytes", "bytes", r.peak_rss_kb * 1024);
+    json.Add(r.shape, "allocs_per_vhour", "allocs/h", allocs_per_vhour);
+    json.Add(r.shape, "sanitizer_growth_bytes", "bytes",
+             r.sanitizer_growth_bytes);
+    json.Add(r.shape, "qoe_floor", "score", r.qoe_floor, 6);
+    json.Add(r.shape, "samples_streamed", "count", r.samples_streamed);
+    json.Add(r.shape, "transitions_drained", "count", r.transitions_drained);
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  if (!json.Write(out)) return 1;
   std::printf("wrote %s\n", out.c_str());
 
   if (!failures.empty()) {

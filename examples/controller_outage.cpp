@@ -22,7 +22,8 @@
 //   ./build/examples/controller_outage --bench-out BENCH_robustness.json
 //
 // Exits non-zero if any phase misses its recovery budget, so CI can use it
-// as a robustness gate.
+// as a robustness gate. --bench-out writes the run's figures as BENCH rows
+// (bench/bench_json.h), gated against BENCH_robustness.json.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -30,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_json.h"
 #include "conference/scenarios.h"
 #include "obs/export.h"
 #include "sim/fault_plan.h"
@@ -251,28 +253,24 @@ int main(int argc, char** argv) {
               report.mean_framerate, 100 * report.mean_video_stall_rate);
 
   if (!bench_out.empty()) {
-    char buffer[1024];
-    std::snprintf(
-        buffer, sizeof buffer,
-        "{\"label\":\"robustness\",\"unit\":\"fps\",\"results\":[{"
-        "\"shape\":\"controller_outage\",\"mode\":\"robustness\","
-        "\"threads\":1,"
-        "\"crashes\":%d,\"restarts\":%d,"
-        "\"reconstruction_latency_ms\":%.3f,"
-        "\"resolves_after_restart\":%d,"
-        "\"degraded_fps\":%.3f,\"baseline_fps\":%.3f,"
-        "\"recovered_fps\":%.3f,"
-        "\"rehomed_participants\":%d,\"node_failovers\":%d,"
-        "\"mean_framerate\":%.3f,\"mean_video_stall_rate\":%.5f,"
-        "\"passed\":%s}]}\n",
-        conference->control().crash_count(),
-        conference->control().restart_count(),
-        conference->control().last_reconstruction_latency().seconds() * 1e3,
-        conference->control().resolves_after_restart(), gso_fps, tpl_fps,
-        recovered_fps, conference->control().rehomed_count(),
-        conference->control().node_failover_count(), report.mean_framerate,
-        report.mean_video_stall_rate, ok ? "true" : "false");
-    if (!obs::WriteFile(bench_out, buffer)) return 1;
+    const auto& control = conference->control();
+    gso::bench::BenchJson json("robustness");
+    const std::string name = "controller_outage";
+    json.Add(name, "crashes", "count", control.crash_count());
+    json.Add(name, "restarts", "count", control.restart_count());
+    json.Add(name, "reconstruction_latency_ms", "ms",
+             control.last_reconstruction_latency().seconds() * 1e3, 3);
+    json.Add(name, "resolves_after_restart", "count",
+             control.resolves_after_restart());
+    json.Add(name, "degraded_fps", "fps", gso_fps, 3);
+    json.Add(name, "baseline_fps", "fps", tpl_fps, 3);
+    json.Add(name, "recovered_fps", "fps", recovered_fps, 3);
+    json.Add(name, "rehomed_participants", "count", control.rehomed_count());
+    json.Add(name, "node_failovers", "count", control.node_failover_count());
+    json.Add(name, "mean_framerate", "fps", report.mean_framerate, 3);
+    json.Add(name, "mean_video_stall_rate", "ratio",
+             report.mean_video_stall_rate, 5);
+    if (!json.Write(bench_out)) return 1;
     std::printf("wrote %s\n", bench_out.c_str());
   }
   if (!metrics_out.empty()) {

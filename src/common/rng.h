@@ -81,15 +81,6 @@ class Rng {
     return -mean * std::log(u);
   }
 
-  // Pareto-distributed heavy tail, truncated at `cap`. Used for synthetic
-  // conference-size and session-length distributions in the fleet simulator.
-  double ParetoTruncated(double scale, double shape, double cap) {
-    double u = NextDouble();
-    while (u <= 1e-12) u = NextDouble();
-    const double v = scale / std::pow(u, 1.0 / shape);
-    return v > cap ? cap : v;
-  }
-
   // Fork a statistically independent child stream; used to give each
   // simulated entity its own stream so entity insertion order does not
   // perturb unrelated entities' randomness.

@@ -16,6 +16,20 @@ constexpr double kSembEventThreshold = 0.10;  // 10% change fires a report
 // Reassembly state of an SSRC idle this long is dropped (see
 // Client::TrimQoeHistoryBefore).
 constexpr TimeDelta kDeadStreamIdle = TimeDelta::Seconds(30);
+// Voice stall (paper footnote 10): audio publishers send one packet per
+// 20 ms, 50 per playback interval; an interval with fewer than 45 of them
+// on time lost more than 10% and stalls.
+constexpr int64_t kAudioPacketsPerInterval =
+    media::kPlaybackInterval.us() / media::kAudioPacketInterval.us();
+constexpr int kVoiceStallMinReceived = static_cast<int>(
+    kAudioPacketsPerInterval -
+    kAudioPacketsPerInterval * media::kVoiceStallLossThreshold);
+static_assert(kVoiceStallMinReceived == 45);
+
+// Index of the playback interval holding `t`.
+int64_t PlaybackInterval(Timestamp t) {
+  return t.us() / media::kPlaybackInterval.us();
+}
 
 // Padding SSRCs live outside the directory so nodes do not forward them
 // (reserved ranges: see AccessingNode::ControlSsrc).
@@ -222,7 +236,7 @@ void Client::HandleRtp(const sim::Packet& sim_packet) {
     const Timestamp capture =
         Timestamp::Micros(static_cast<int64_t>(parsed->timestamp) * 1000 / 48);
     if (now - capture <= TimeDelta::Millis(250)) {
-      state.received_per_interval[now.us() / TimeDelta::Seconds(1).us()]++;
+      state.received_per_interval[PlaybackInterval(now)]++;
     }
     return;
   }
@@ -592,7 +606,7 @@ void Client::OnViewEnded(ClientId publisher, core::SourceKind kind) {
 }
 
 void Client::TrimQoeHistoryBefore(Timestamp t) {
-  const int64_t first_kept = t.us() / TimeDelta::Seconds(1).us();
+  const int64_t first_kept = PlaybackInterval(t);
   for (auto it = views_.begin(); it != views_.end();) {
     ViewStats& view = it->second;
     if (view.ended_at <= t) {
@@ -669,25 +683,23 @@ std::vector<ReceivedStreamStats> Client::ReceiveReport(
 double Client::VoiceStallRate(Timestamp session_start,
                               Timestamp session_end) const {
   if (audio_received_.empty()) return 0.0;
-  // Audio publishers send 1 packet / 20 ms; an interval with more than 10%
-  // of its 50 packets missing counts as a voice stall (paper footnote 10).
-  const int64_t first = session_start.us() / TimeDelta::Seconds(1).us();
-  const int64_t last = (session_end.us() - 1) / TimeDelta::Seconds(1).us();
+  const int64_t first = PlaybackInterval(session_start);
+  const int64_t last = PlaybackInterval(session_end - TimeDelta::Micros(1));
   if (last < first) return 0.0;
   double sum = 0.0;
   int streams_counted = 0;
   for (const auto& [ssrc, state] : audio_received_) {
     if (!state.first_arrival.IsFinite()) continue;
     const int64_t begin =
-        std::max(first, state.first_arrival.us() / TimeDelta::Seconds(1).us());
+        std::max(first, PlaybackInterval(state.first_arrival));
     // A stream that goes permanently silent has *ended* (e.g. the SFU
     // bounds the audio fan-out to the active speakers); only its active
     // span counts as playback, mirroring the paper's "playback intervals".
     // Exclude the partial boundary intervals of the active span: a stream
     // that starts or ends mid-interval has fewer than 50 expected packets
     // there and would read as spuriously stalled.
-    const int64_t active_last = std::min(
-        last, state.last_arrival.us() / TimeDelta::Seconds(1).us() - 1);
+    const int64_t active_last =
+        std::min(last, PlaybackInterval(state.last_arrival) - 1);
     const int64_t active_first = begin + 1;
     if (active_last < active_first) continue;
     ++streams_counted;
@@ -697,7 +709,7 @@ double Client::VoiceStallRate(Timestamp session_start,
       const int received = it == state.received_per_interval.end()
                                ? 0
                                : it->second;
-      if (received < 45) ++stalled;  // 45/50 = 10% loss threshold
+      if (received < kVoiceStallMinReceived) ++stalled;
     }
     sum += static_cast<double>(stalled) /
            static_cast<double>(active_last - active_first + 1);

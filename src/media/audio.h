@@ -3,8 +3,8 @@
 // Audio is not orchestrated by GSO (paper §5: "pure audio communication is
 // not handled by GSO-Simulcast") but shares the links with video, which is
 // exactly how video congestion causes the paper's voice stalls. The source
-// emits fixed-rate Opus-like packets; the receiver feeds a
-// VoiceStallDetector.
+// emits fixed-rate Opus-like packets; the receiving client counts them per
+// playback interval for its voice-stall rate (Client::VoiceStallRate).
 #ifndef GSO_MEDIA_AUDIO_H_
 #define GSO_MEDIA_AUDIO_H_
 

@@ -3,13 +3,13 @@
 // Video stall (footnote 9): the percentage of playback intervals in which
 // the maximum delay between two consecutive rendered frames exceeds 200 ms.
 // Voice stall (footnote 10): the percentage of audio playback intervals
-// whose packet loss exceeds 10%.
+// whose packet loss exceeds 10%; conference::Client::VoiceStallRate
+// measures it from the audio the client receives.
 #ifndef GSO_MEDIA_STALL_DETECTOR_H_
 #define GSO_MEDIA_STALL_DETECTOR_H_
 
 #include <cstdint>
 #include <iterator>
-#include <map>
 #include <set>
 
 #include "common/units.h"
@@ -100,46 +100,6 @@ class VideoStallDetector {
   int64_t total_frames_ = 0;
   int64_t forgotten_ = 0;  // intervals dropped by ForgetBefore
   std::set<int64_t> stalled_intervals_;
-};
-
-class VoiceStallDetector {
- public:
-  // Records one audio packet outcome attributed to its playout interval.
-  void OnPacketExpected(Timestamp when, bool received) {
-    const int64_t interval = when.us() / kPlaybackInterval.us();
-    auto& counts = intervals_[interval];
-    counts.expected++;
-    if (received) counts.received++;
-  }
-
-  double StallRate() const {
-    if (intervals_.empty()) return 0.0;
-    int64_t stalled = 0;
-    for (const auto& [_, c] : intervals_) {
-      const double loss =
-          c.expected > 0
-              ? 1.0 - static_cast<double>(c.received) / c.expected
-              : 0.0;
-      if (loss > kVoiceStallLossThreshold) ++stalled;
-    }
-    return static_cast<double>(stalled) / static_cast<double>(intervals_.size());
-  }
-
-  // Drops per-interval counts for intervals that end before `t`; the rate
-  // then covers the remaining (recent) playback intervals only.
-  void ForgetBefore(Timestamp t) {
-    const int64_t first_kept = t.us() / kPlaybackInterval.us();
-    intervals_.erase(intervals_.begin(), intervals_.lower_bound(first_kept));
-  }
-
-  size_t resident_interval_count() const { return intervals_.size(); }
-
- private:
-  struct Counts {
-    int64_t expected = 0;
-    int64_t received = 0;
-  };
-  std::map<int64_t, Counts> intervals_;
 };
 
 }  // namespace gso::media

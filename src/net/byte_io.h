@@ -31,21 +31,11 @@ class ByteWriter {
     buf_.push_back(static_cast<uint8_t>(v >> 8));
     buf_.push_back(static_cast<uint8_t>(v));
   }
-  void WriteU64(uint64_t v) {
-    WriteU32(static_cast<uint32_t>(v >> 32));
-    WriteU32(static_cast<uint32_t>(v));
-  }
   void WriteBytes(const uint8_t* data, size_t len) {
     buf_.insert(buf_.end(), data, data + len);
   }
   void WriteString4(const char name[4]) {
     buf_.insert(buf_.end(), name, name + 4);
-  }
-  // Overwrites a previously written big-endian u16 (e.g. a length field
-  // back-patched once the body size is known).
-  void PatchU16(size_t offset, uint16_t v) {
-    buf_[offset] = static_cast<uint8_t>(v >> 8);
-    buf_[offset + 1] = static_cast<uint8_t>(v);
   }
 
   size_t size() const { return buf_.size(); }
@@ -118,11 +108,6 @@ class ByteReader {
                  static_cast<uint32_t>(data_[pos_ + 3]);
     pos_ += 4;
     return v;
-  }
-  uint64_t ReadU64() {
-    const uint64_t hi = ReadU32();
-    const uint64_t lo = ReadU32();
-    return hi << 32 | lo;
   }
   void ReadBytes(uint8_t* out, size_t len) {
     // len == 0 must be a no-op before touching `out`: an empty vector's

@@ -1,7 +1,6 @@
 #include "net/rtcp_packets.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/logging.h"
 #include "net/byte_io.h"
@@ -10,20 +9,15 @@ namespace gso::net {
 namespace {
 
 constexpr uint8_t kRtcpVersion = 2;
-constexpr uint8_t kPtSenderReport = 200;
-constexpr uint8_t kPtReceiverReport = 201;
+constexpr uint8_t kPtFirst = 200;  // SR, the lowest RTCP packet type
 constexpr uint8_t kPtApp = 204;
 constexpr uint8_t kPtRtpfb = 205;
 constexpr uint8_t kPtPsfb = 206;
 
 constexpr uint8_t kRtpfbFmtNack = 1;
-constexpr uint8_t kRtpfbFmtTmmbr = 3;
-constexpr uint8_t kRtpfbFmtTmmbn = 4;
 constexpr uint8_t kRtpfbFmtTransportFeedback = 15;
 constexpr uint8_t kPsfbFmtPli = 1;
-constexpr uint8_t kPsfbFmtAlfb = 15;
 
-constexpr char kNameRemb[4] = {'R', 'E', 'M', 'B'};
 constexpr char kNameSemb[4] = {'S', 'E', 'M', 'B'};
 constexpr char kNameGtbr[4] = {'G', 'T', 'B', 'R'};
 constexpr char kNameGtbn[4] = {'G', 'T', 'B', 'N'};
@@ -43,34 +37,13 @@ void EncodeExpMantissa(int64_t bps, int mantissa_bits, uint8_t* exp,
   *mantissa = static_cast<uint32_t>(m);
 }
 
-// Writes the 4-byte RTCP header; `count_or_fmt` is RC for reports, FMT for
-// feedback, subtype for APP. `length_words` is body length in 32-bit words.
+// Writes the 4-byte RTCP header; `count_or_fmt` is FMT for feedback,
+// subtype for APP. `length_words` is body length in 32-bit words.
 void WriteHeader(ByteWriter& w, uint8_t count_or_fmt, uint8_t packet_type,
                  uint16_t length_words) {
   w.WriteU8(static_cast<uint8_t>(kRtcpVersion << 6 | (count_or_fmt & 0x1F)));
   w.WriteU8(packet_type);
   w.WriteU16(length_words);
-}
-
-void WriteReportBlock(ByteWriter& w, const ReportBlock& b) {
-  w.WriteU32(b.source_ssrc.value());
-  w.WriteU8(b.fraction_lost);
-  w.WriteU24(b.cumulative_lost);
-  w.WriteU32(b.extended_highest_sequence);
-  w.WriteU32(b.jitter);
-  w.WriteU32(0);  // LSR (unused in simulation)
-  w.WriteU32(0);  // DLSR
-}
-
-ReportBlock ReadReportBlock(ByteReader& r) {
-  ReportBlock b;
-  b.source_ssrc = Ssrc(r.ReadU32());
-  b.fraction_lost = r.ReadU8();
-  b.cumulative_lost = r.ReadU24();
-  b.extended_highest_sequence = r.ReadU32();
-  b.jitter = r.ReadU32();
-  r.Skip(8);  // LSR + DLSR
-  return b;
 }
 
 uint32_t PackMxTbr(const MxTbr& v) {
@@ -121,56 +94,11 @@ MxTbr MxTbr::FromBitrate(DataRate rate, uint16_t overhead) {
 
 namespace {
 
-void SerializeSenderReport(ByteWriter& w, const SenderReport& sr) {
-  const uint16_t words =
-      static_cast<uint16_t>(1 + 5 + 6 * sr.report_blocks.size());
-  WriteHeader(w, static_cast<uint8_t>(sr.report_blocks.size()),
-              kPtSenderReport, words);
-  w.WriteU32(sr.sender_ssrc.value());
-  w.WriteU64(sr.ntp_time);
-  w.WriteU32(sr.rtp_timestamp);
-  w.WriteU32(sr.packet_count);
-  w.WriteU32(sr.octet_count);
-  for (const auto& b : sr.report_blocks) WriteReportBlock(w, b);
-}
-
-void SerializeReceiverReport(ByteWriter& w, const ReceiverReport& rr) {
-  const uint16_t words =
-      static_cast<uint16_t>(1 + 6 * rr.report_blocks.size());
-  WriteHeader(w, static_cast<uint8_t>(rr.report_blocks.size()),
-              kPtReceiverReport, words);
-  w.WriteU32(rr.sender_ssrc.value());
-  for (const auto& b : rr.report_blocks) WriteReportBlock(w, b);
-}
-
-void SerializeTmmb(ByteWriter& w, Ssrc sender, uint8_t fmt,
-                   const std::vector<TmmbrEntry>& entries) {
-  const uint16_t words = static_cast<uint16_t>(2 + 2 * entries.size());
-  WriteHeader(w, fmt, kPtRtpfb, words);
-  w.WriteU32(sender.value());
-  w.WriteU32(0);  // media source: unused for TMMBR/TMMBN (RFC 5104)
-  WriteTmmbEntries(w, entries);
-}
-
-void SerializeRemb(ByteWriter& w, const Remb& remb) {
-  const uint16_t words = static_cast<uint16_t>(2 + 2 + remb.ssrcs.size());
-  WriteHeader(w, kPsfbFmtAlfb, kPtPsfb, words);
-  w.WriteU32(remb.sender_ssrc.value());
-  w.WriteU32(0);  // media source must be zero for ALFB
-  w.WriteString4(kNameRemb);
-  uint8_t exp = 0;
-  uint32_t mantissa = 0;
-  EncodeExpMantissa(remb.bitrate.bps(), 18, &exp, &mantissa);
-  w.WriteU8(static_cast<uint8_t>(remb.ssrcs.size()));
-  w.WriteU24(static_cast<uint32_t>(exp) << 18 | mantissa);
-  for (Ssrc s : remb.ssrcs) w.WriteU32(s.value());
-}
-
-void SerializeApp(ByteWriter& w, Ssrc sender, uint8_t subtype,
-                  const char name[4], const std::vector<uint8_t>& payload) {
+void SerializeApp(ByteWriter& w, Ssrc sender, const char name[4],
+                  const std::vector<uint8_t>& payload) {
   GSO_CHECK(payload.size() % 4 == 0);
   const uint16_t words = static_cast<uint16_t>(2 + payload.size() / 4);
-  WriteHeader(w, subtype, kPtApp, words);
+  WriteHeader(w, /*subtype=*/0, kPtApp, words);
   w.WriteU32(sender.value());
   w.WriteString4(name);
   w.WriteBytes(payload.data(), payload.size());
@@ -183,7 +111,7 @@ void SerializeSemb(ByteWriter& w, const Semb& semb) {
   EncodeExpMantissa(semb.bitrate.bps(), 18, &exp, &mantissa);
   body.WriteU8(0);  // reserved
   body.WriteU24(static_cast<uint32_t>(exp) << 18 | mantissa);
-  SerializeApp(w, semb.sender_ssrc, 0, kNameSemb, body.data());
+  SerializeApp(w, semb.sender_ssrc, kNameSemb, body.data());
 }
 
 void SerializeGsoTmmb(ByteWriter& w, Ssrc sender, uint32_t request_id,
@@ -194,7 +122,7 @@ void SerializeGsoTmmb(ByteWriter& w, Ssrc sender, uint32_t request_id,
   body.WriteU32(epoch);
   body.WriteU32(static_cast<uint32_t>(entries.size()));
   WriteTmmbEntries(body, entries);
-  SerializeApp(w, sender, 0, name, body.data());
+  SerializeApp(w, sender, name, body.data());
 }
 
 void SerializeNack(ByteWriter& w, const Nack& nack) {
@@ -254,17 +182,7 @@ void SerializeOne(ByteWriter& w, const RtcpMessage& msg) {
   std::visit(
       [&w](const auto& m) {
         using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, SenderReport>) {
-          SerializeSenderReport(w, m);
-        } else if constexpr (std::is_same_v<T, ReceiverReport>) {
-          SerializeReceiverReport(w, m);
-        } else if constexpr (std::is_same_v<T, Tmmbr>) {
-          SerializeTmmb(w, m.sender_ssrc, kRtpfbFmtTmmbr, m.entries);
-        } else if constexpr (std::is_same_v<T, Tmmbn>) {
-          SerializeTmmb(w, m.sender_ssrc, kRtpfbFmtTmmbn, m.entries);
-        } else if constexpr (std::is_same_v<T, Remb>) {
-          SerializeRemb(w, m);
-        } else if constexpr (std::is_same_v<T, Semb>) {
+        if constexpr (std::is_same_v<T, Semb>) {
           SerializeSemb(w, m);
         } else if constexpr (std::is_same_v<T, GsoTmmbr>) {
           SerializeGsoTmmb(w, m.sender_ssrc, m.request_id, m.epoch, kNameGtbr,
@@ -278,15 +196,14 @@ void SerializeOne(ByteWriter& w, const RtcpMessage& msg) {
           SerializeNack(w, m);
         } else if constexpr (std::is_same_v<T, Pli>) {
           SerializePli(w, m);
-        } else if constexpr (std::is_same_v<T, AppPacket>) {
-          SerializeApp(w, m.sender_ssrc, m.subtype, m.name, m.payload);
         }
       },
       msg);
 }
 
-std::optional<RtcpMessage> ParseApp(ByteReader& r, uint8_t subtype,
-                                    size_t body_bytes) {
+// Parses the APP names this stack sends (SEMB, GTBR, GTBN); any other
+// name is skipped.
+std::optional<RtcpMessage> ParseApp(ByteReader& r, size_t body_bytes) {
   if (body_bytes < 8) return std::nullopt;
   const Ssrc sender(r.ReadU32());
   const std::string name = r.ReadString4();
@@ -330,14 +247,7 @@ std::optional<RtcpMessage> ParseApp(ByteReader& r, uint8_t subtype,
     m.entries = std::move(entries);
     return m;
   }
-
-  AppPacket app;
-  app.sender_ssrc = sender;
-  app.subtype = subtype;
-  std::memcpy(app.name, name.data(), 4);
-  app.payload.resize(payload_bytes);
-  r.ReadBytes(app.payload.data(), payload_bytes);
-  return app;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -370,28 +280,6 @@ std::vector<RtcpMessage> ParseCompound(std::span<const uint8_t> data) {
     ByteReader r(data.data() + offset + 4, body_bytes);
 
     switch (pt) {
-      case kPtSenderReport: {
-        SenderReport sr;
-        sr.sender_ssrc = Ssrc(r.ReadU32());
-        sr.ntp_time = r.ReadU64();
-        sr.rtp_timestamp = r.ReadU32();
-        sr.packet_count = r.ReadU32();
-        sr.octet_count = r.ReadU32();
-        for (uint8_t i = 0; i < count_or_fmt && r.ok(); ++i) {
-          sr.report_blocks.push_back(ReadReportBlock(r));
-        }
-        if (r.ok()) out.push_back(std::move(sr));
-        break;
-      }
-      case kPtReceiverReport: {
-        ReceiverReport rr;
-        rr.sender_ssrc = Ssrc(r.ReadU32());
-        for (uint8_t i = 0; i < count_or_fmt && r.ok(); ++i) {
-          rr.report_blocks.push_back(ReadReportBlock(r));
-        }
-        if (r.ok()) out.push_back(std::move(rr));
-        break;
-      }
       case kPtRtpfb: {
         const Ssrc sender(r.ReadU32());
         const Ssrc media(r.ReadU32());
@@ -412,16 +300,6 @@ std::vector<RtcpMessage> ParseCompound(std::span<const uint8_t> data) {
             }
           }
           if (r.ok()) out.push_back(std::move(nack));
-        } else if (count_or_fmt == kRtpfbFmtTmmbr ||
-            count_or_fmt == kRtpfbFmtTmmbn) {
-          const size_t entries = (body_bytes - 8) / 8;
-          auto parsed = ReadTmmbEntries(r, entries);
-          if (!r.ok()) break;
-          if (count_or_fmt == kRtpfbFmtTmmbr) {
-            out.push_back(Tmmbr{sender, std::move(parsed)});
-          } else {
-            out.push_back(Tmmbn{sender, std::move(parsed)});
-          }
         } else if (count_or_fmt == kRtpfbFmtTransportFeedback) {
           TransportFeedback fb;
           fb.sender_ssrc = sender;
@@ -446,27 +324,11 @@ std::vector<RtcpMessage> ParseCompound(std::span<const uint8_t> data) {
           pli.sender_ssrc = Ssrc(r.ReadU32());
           pli.media_ssrc = Ssrc(r.ReadU32());
           out.push_back(pli);
-        } else if (count_or_fmt == kPsfbFmtAlfb && body_bytes >= 16) {
-          const Ssrc sender(r.ReadU32());
-          r.Skip(4);
-          if (r.ReadString4() == std::string(kNameRemb, 4)) {
-            Remb remb;
-            remb.sender_ssrc = sender;
-            const uint8_t num_ssrc = r.ReadU8();
-            const uint32_t packed = r.ReadU24();
-            const uint8_t exp = static_cast<uint8_t>(packed >> 18);
-            remb.bitrate = DataRate::BitsPerSec(
-                static_cast<int64_t>(packed & 0x3FFFF) << exp);
-            for (uint8_t i = 0; i < num_ssrc && r.ok(); ++i) {
-              remb.ssrcs.push_back(Ssrc(r.ReadU32()));
-            }
-            if (r.ok()) out.push_back(std::move(remb));
-          }
         }
         break;
       }
       case kPtApp: {
-        auto parsed = ParseApp(r, count_or_fmt, body_bytes);
+        auto parsed = ParseApp(r, body_bytes);
         if (parsed && r.ok()) out.push_back(std::move(*parsed));
         break;
       }
@@ -479,7 +341,7 @@ std::vector<RtcpMessage> ParseCompound(std::span<const uint8_t> data) {
 }
 
 bool IsRtcp(std::span<const uint8_t> data) {
-  return data.size() >= 2 && data[1] >= kPtSenderReport && data[1] <= kPtPsfb;
+  return data.size() >= 2 && data[1] >= kPtFirst && data[1] <= kPtPsfb;
 }
 
 }  // namespace gso::net

@@ -1,10 +1,6 @@
 // RTCP packet types used by GSO-Simulcast's reporting and feedback planes.
 //
 // Implemented wire formats:
-//  - Sender/Receiver Reports with report blocks (RFC 3550, PT 200/201)
-//  - TMMBR / TMMBN (RFC 5104 §4.2, RTPFB PT 205 FMT 3/4) with the
-//    17-bit-mantissa / 6-bit-exponent / 9-bit-overhead MxTBR encoding
-//  - REMB (draft-alvestrand-rmcat-remb, PSFB PT 206 FMT 15)
 //  - Application-defined packets (PT 204, RFC 3550 §6.7), carrying:
 //      * SEMB  — sender estimated maximum bitrate (paper §4.2): uplink
 //        bandwidth reported in-band from client to accessing node, value
@@ -12,14 +8,19 @@
 //      * GTBR / GTBN — the paper's stream-orchestration TMMBR/TMMBN
 //        re-wrapped inside an APP packet to remove the ambiguity with
 //        congestion-control TMMBR (paper §4.3). One GTBR carries one entry
-//        per SSRC (per simulcast layer); mantissa==0 disables the layer.
+//        per SSRC (per simulcast layer) in RFC 5104's MxTBR encoding
+//        (17-bit mantissa / 6-bit exponent / 9-bit overhead);
+//        mantissa==0 disables the layer.
+//  - Generic NACK (RTPFB PT 205 FMT 1) and PLI (PSFB PT 206 FMT 1).
 //  - Transport-wide feedback (RTPFB PT 205 FMT 15): per-packet receive
 //    timestamps for the GCC-style estimator. We use a simplified fixed-size
 //    per-packet encoding (received flag + 0.25 ms delta) rather than the
 //    draft's run-length chunks; the information content is identical.
 //
 // All packets serialize into RFC 3550 compound framing (4-byte headers,
-// 32-bit word lengths) and parse back via ParseCompound().
+// 32-bit word lengths) and parse back via ParseCompound(). Sub-packets of
+// any other type (SR, RR, RFC 5104 TMMBR/TMMBN, REMB, APP with another
+// name) are skipped: nothing in the simulated stack sends them.
 #ifndef GSO_NET_RTCP_PACKETS_H_
 #define GSO_NET_RTCP_PACKETS_H_
 
@@ -51,48 +52,9 @@ struct MxTbr {
 
 // --- Individual packet types --------------------------------------------
 
-struct ReportBlock {
-  Ssrc source_ssrc;
-  uint8_t fraction_lost = 0;   // loss since previous report, fixed point /256
-  uint32_t cumulative_lost = 0;
-  uint32_t extended_highest_sequence = 0;
-  uint32_t jitter = 0;         // RFC 3550 interarrival jitter, media clock units
-};
-
-struct SenderReport {
-  Ssrc sender_ssrc;
-  uint64_t ntp_time = 0;
-  uint32_t rtp_timestamp = 0;
-  uint32_t packet_count = 0;
-  uint32_t octet_count = 0;
-  std::vector<ReportBlock> report_blocks;
-};
-
-struct ReceiverReport {
-  Ssrc sender_ssrc;
-  std::vector<ReportBlock> report_blocks;
-};
-
 struct TmmbrEntry {
   Ssrc ssrc;
   MxTbr max_total_bitrate;
-};
-
-// RFC 5104 congestion-control TMMBR (kept distinct from the GSO variant).
-struct Tmmbr {
-  Ssrc sender_ssrc;
-  std::vector<TmmbrEntry> entries;
-};
-
-struct Tmmbn {
-  Ssrc sender_ssrc;
-  std::vector<TmmbrEntry> entries;
-};
-
-struct Remb {
-  Ssrc sender_ssrc;
-  DataRate bitrate;
-  std::vector<Ssrc> ssrcs;
 };
 
 // Sender Estimated Maximum Bitrate: the client's sender-side uplink BWE,
@@ -151,17 +113,8 @@ struct Pli {
   Ssrc media_ssrc;
 };
 
-// Generic APP packet for forward compatibility (unknown 4-char names).
-struct AppPacket {
-  Ssrc sender_ssrc;
-  uint8_t subtype = 0;
-  char name[4] = {0, 0, 0, 0};
-  std::vector<uint8_t> payload;
-};
-
-using RtcpMessage =
-    std::variant<SenderReport, ReceiverReport, Tmmbr, Tmmbn, Remb, Semb,
-                 GsoTmmbr, GsoTmmbn, TransportFeedback, Nack, Pli, AppPacket>;
+using RtcpMessage = std::variant<Semb, GsoTmmbr, GsoTmmbn, TransportFeedback,
+                                 Nack, Pli>;
 
 // --- Compound packet framing --------------------------------------------
 

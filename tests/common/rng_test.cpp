@@ -93,15 +93,6 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(sum / n, 3.0, 0.1);
 }
 
-TEST(Rng, ParetoTruncatedRespectsBounds) {
-  Rng rng(19);
-  for (int i = 0; i < 10000; ++i) {
-    const double x = rng.ParetoTruncated(1.0, 1.5, 8.0);
-    EXPECT_GE(x, 1.0);
-    EXPECT_LE(x, 8.0);
-  }
-}
-
 TEST(Rng, ForkProducesIndependentStream) {
   Rng parent(23);
   Rng child = parent.Fork();

@@ -1,7 +1,9 @@
 // Focused Client tests using a captured uplink: SEMB reporting triggers,
 // GTBR handling + GTBN acknowledgement, local congestion scaling, probing
-// padding, and audio emission.
+// padding, audio emission, and the voice-stall metric over received audio.
 #include "conference/client.h"
+
+#include <functional>
 
 #include <gtest/gtest.h>
 
@@ -255,6 +257,84 @@ TEST(Client, GsoLadderRespectsFineBitrateCapability) {
   coarse_config.supports_fine_bitrate = false;
   ClientHarness coarse(coarse_config);
   EXPECT_EQ(coarse.client_.GsoCameraLadder().size(), 3u);
+}
+
+// Feeds the client a remote audio stream (SSRC 300): one packet captured
+// every 20 ms in [from_ms, to_ms), each arriving 5 ms after capture, except
+// the captures `lost` names. Runs the loop to `to_ms` + 100 ms.
+void ReceiveAudio(ClientHarness& h, int from_ms, int to_ms,
+                  const std::function<bool(int capture_ms)>& lost) {
+  for (int c = from_ms; c < to_ms; c += 20) {
+    if (lost(c)) continue;
+    net::RtpPacket rtp;
+    rtp.payload_type = net::kAudioPayloadType;
+    rtp.sequence_number = static_cast<uint16_t>(c / 20);
+    rtp.timestamp = static_cast<uint32_t>(c) * 48;  // 48 kHz media clock
+    rtp.ssrc = Ssrc(300);
+    sim::Packet packet;
+    packet.data = sim::PacketBytes(rtp.Serialize());
+    h.loop_.At(Timestamp::Millis(c + 5),
+               [&h, packet] { h.client_.OnPacketFromNode(packet); });
+  }
+  h.loop_.RunUntil(Timestamp::Millis(to_ms + 100));
+}
+
+// The first `n` captures of playback interval `interval` (second) are lost.
+std::function<bool(int)> LoseFirst(int interval, int n) {
+  return [interval, n](int c) {
+    return c / 1000 == interval && c % 1000 < 20 * n;
+  };
+}
+
+TEST(VoiceStall, CleanAudioHasNoStall) {
+  ClientHarness harness;
+  ReceiveAudio(harness, 0, 5000, [](int) { return false; });
+  EXPECT_DOUBLE_EQ(
+      harness.client_.VoiceStallRate(Timestamp::Zero(), Timestamp::Seconds(5)),
+      0.0);
+}
+
+TEST(VoiceStall, IntervalOverTenPercentLossStalls) {
+  // Counted intervals are 1..3 (the stream's first and last are partial).
+  // Interval 1 receives 45 of its 50 packets: exactly 10% loss, no stall.
+  // Interval 2 receives 44: more than 10% loss, a stall.
+  ClientHarness harness;
+  const auto lose_5 = LoseFirst(1, 5);
+  const auto lose_6 = LoseFirst(2, 6);
+  ReceiveAudio(harness, 0, 5000,
+               [&](int c) { return lose_5(c) || lose_6(c); });
+  EXPECT_DOUBLE_EQ(
+      harness.client_.VoiceStallRate(Timestamp::Zero(), Timestamp::Seconds(5)),
+      1.0 / 3.0);
+}
+
+TEST(VoiceStall, PartialBoundaryIntervalsAreExcluded) {
+  // Active from 0.5 s to 3.5 s: intervals 0 and 3 hold only 25 packets
+  // each and would read as stalls; only the full intervals 1 and 2 count,
+  // and interval 2 stalls.
+  ClientHarness harness;
+  ReceiveAudio(harness, 500, 3500, LoseFirst(2, 6));
+  EXPECT_DOUBLE_EQ(
+      harness.client_.VoiceStallRate(Timestamp::Zero(), Timestamp::Seconds(5)),
+      0.5);
+}
+
+TEST(VoiceStall, TrimQoeHistoryBeforeKeepsWindowedRate) {
+  // Intervals 1 and 4 stall. The window [2 s, 6 s) counts intervals 3 and
+  // 4; dropping the history before it frees interval counts and leaves
+  // the windowed rate unchanged.
+  ClientHarness harness;
+  const auto lose_1 = LoseFirst(1, 10);
+  const auto lose_4 = LoseFirst(4, 10);
+  ReceiveAudio(harness, 0, 6000,
+               [&](int c) { return lose_1(c) || lose_4(c); });
+  const Timestamp start = Timestamp::Seconds(2);
+  const Timestamp end = Timestamp::Seconds(6);
+  EXPECT_DOUBLE_EQ(harness.client_.VoiceStallRate(start, end), 0.5);
+  const size_t before = harness.client_.table_sizes().audio_intervals;
+  harness.client_.TrimQoeHistoryBefore(start);
+  EXPECT_LT(harness.client_.table_sizes().audio_intervals, before);
+  EXPECT_DOUBLE_EQ(harness.client_.VoiceStallRate(start, end), 0.5);
 }
 
 }  // namespace

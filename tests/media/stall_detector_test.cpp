@@ -1,4 +1,5 @@
-// Tests for the paper-defined stall metrics.
+// Tests for the paper-defined video-stall metric (the voice-stall metric,
+// Client::VoiceStallRate, is tested in tests/conference/client_test.cpp).
 #include "media/stall_detector.h"
 
 #include <gtest/gtest.h>
@@ -75,26 +76,6 @@ TEST(VideoStall, WindowedQueryIgnoresOutsideIntervals) {
       detector.StallRate(Timestamp::Seconds(1), Timestamp::Seconds(5)), 0.0);
 }
 
-TEST(VoiceStall, CleanAudioHasNoStall) {
-  VoiceStallDetector detector;
-  for (int i = 0; i < 500; ++i) {
-    detector.OnPacketExpected(Timestamp::Millis(i * 20), true);
-  }
-  EXPECT_DOUBLE_EQ(detector.StallRate(), 0.0);
-}
-
-TEST(VoiceStall, IntervalOverTenPercentLossStalls) {
-  VoiceStallDetector detector;
-  // Second 0: 20% loss. Second 1: 4% loss.
-  for (int i = 0; i < 50; ++i) {
-    detector.OnPacketExpected(Timestamp::Millis(i * 20), i % 5 != 0);
-  }
-  for (int i = 50; i < 100; ++i) {
-    detector.OnPacketExpected(Timestamp::Millis(i * 20), i % 25 != 0);
-  }
-  EXPECT_DOUBLE_EQ(detector.StallRate(), 0.5);
-}
-
 TEST(VideoStall, ForgetBeforePreservesWindowedRateAndMonotoneCount) {
   VideoStallDetector detector;
   // Second 0 stalls (900 ms freeze), then smooth 25 fps playback until a
@@ -121,20 +102,6 @@ TEST(VideoStall, ForgetBeforePreservesWindowedRateAndMonotoneCount) {
       detector.StallRate(Timestamp::Seconds(4), Timestamp::Seconds(8)),
       windowed);
   EXPECT_EQ(detector.stalled_interval_count(), 2);
-}
-
-TEST(VoiceStall, ForgetBeforeDropsOldIntervals) {
-  VoiceStallDetector detector;
-  // Second 0: 20% loss (stalled). Second 1: clean.
-  for (int i = 0; i < 50; ++i) {
-    detector.OnPacketExpected(Timestamp::Millis(i * 20), i % 5 != 0);
-  }
-  for (int i = 50; i < 100; ++i) {
-    detector.OnPacketExpected(Timestamp::Millis(i * 20), true);
-  }
-  EXPECT_DOUBLE_EQ(detector.StallRate(), 0.5);
-  detector.ForgetBefore(Timestamp::Seconds(1));
-  EXPECT_DOUBLE_EQ(detector.StallRate(), 0.0);
 }
 
 }  // namespace

@@ -12,14 +12,12 @@ TEST(ByteIo, RoundTripAllWidths) {
   w.WriteU16(0xBEEF);
   w.WriteU24(0x123456);
   w.WriteU32(0xDEADBEEF);
-  w.WriteU64(0x0123456789ABCDEFull);
   w.WriteString4("GSOX");
   ByteReader r(w.data());
   EXPECT_EQ(r.ReadU8(), 0xAB);
   EXPECT_EQ(r.ReadU16(), 0xBEEF);
   EXPECT_EQ(r.ReadU24(), 0x123456u);
   EXPECT_EQ(r.ReadU32(), 0xDEADBEEFu);
-  EXPECT_EQ(r.ReadU64(), 0x0123456789ABCDEFull);
   EXPECT_EQ(r.ReadString4(), "GSOX");
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r.remaining(), 0u);
@@ -51,16 +49,6 @@ TEST(ByteIo, SkipRespectsBounds) {
   EXPECT_TRUE(r.ok());
   r.Skip(2);  // past the end
   EXPECT_FALSE(r.ok());
-}
-
-TEST(ByteIo, PatchU16Overwrites) {
-  ByteWriter w;
-  w.WriteU16(0);
-  w.WriteU16(0xAAAA);
-  w.PatchU16(0, 0x1234);
-  ByteReader r(w.data());
-  EXPECT_EQ(r.ReadU16(), 0x1234);
-  EXPECT_EQ(r.ReadU16(), 0xAAAA);
 }
 
 TEST(ByteIo, ReadBytesZeroFillsOnOverrun) {

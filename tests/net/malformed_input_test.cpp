@@ -16,28 +16,34 @@
 namespace gso::net {
 namespace {
 
-// A compound packet exercising every RTCP message type we serialize.
+// Sub-packets of types the stack no longer sends, frozen as the bytes
+// their serializers wrote: an RFC 3550 SR and RR with one report block
+// each, an RFC 5104 TMMBR, a REMB and an APP with an unknown name. They
+// keep the skip path of ParseCompound in the corpus below.
+const std::vector<uint8_t> kRetiredSr = {
+    0x81, 0xc8, 0x00, 0x0c, 0x00, 0x00, 0x11, 0x11, 0x01, 0x23, 0x45, 0x67,
+    0x89, 0xab, 0xcd, 0xef, 0x00, 0x01, 0x5f, 0x90, 0x00, 0x00, 0x00, 0x2a,
+    0x00, 0x00, 0x10, 0x92, 0x00, 0x00, 0x22, 0x22, 0x0c, 0x00, 0x01, 0x59,
+    0x00, 0x01, 0x09, 0x32, 0x00, 0x00, 0x04, 0xd2, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00};
+const std::vector<uint8_t> kRetiredRr = {
+    0x81, 0xc9, 0x00, 0x07, 0x00, 0x00, 0x33, 0x33, 0x00, 0x00, 0x44, 0x44,
+    0x01, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x04,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+const std::vector<uint8_t> kRetiredTmmbr = {
+    0x83, 0xcd, 0x00, 0x04, 0x00, 0x00, 0x55, 0x55, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x66, 0x66, 0x12, 0x49, 0xf0, 0x28};
+const std::vector<uint8_t> kRetiredRemb = {
+    0x8f, 0xce, 0x00, 0x06, 0x00, 0x00, 0x77, 0x77, 0x00, 0x00, 0x00, 0x00,
+    0x52, 0x45, 0x4d, 0x42, 0x02, 0x0b, 0x6e, 0xe8, 0x00, 0x00, 0x88, 0x88,
+    0x00, 0x00, 0x99, 0x99};
+const std::vector<uint8_t> kUnknownApp = {
+    0x89, 0xcc, 0x00, 0x04, 0x00, 0x00, 0x34, 0x56, 0x58, 0x59, 0x5a, 0x57,
+    0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08};
+
+// A compound packet exercising every RTCP message type we serialize,
+// framed by the retired sub-packets above.
 std::vector<uint8_t> FullCompound() {
-  SenderReport sr;
-  sr.sender_ssrc = Ssrc(0x1111);
-  sr.ntp_time = 0x0123456789abcdefull;
-  sr.rtp_timestamp = 90000;
-  sr.packet_count = 42;
-  sr.octet_count = 4242;
-  sr.report_blocks.push_back(
-      ReportBlock{Ssrc(0x2222), 12, 345, 67890, 1234});
-  ReceiverReport rr;
-  rr.sender_ssrc = Ssrc(0x3333);
-  rr.report_blocks.push_back(ReportBlock{Ssrc(0x4444), 1, 2, 3, 4});
-  Tmmbr tmmbr;
-  tmmbr.sender_ssrc = Ssrc(0x5555);
-  tmmbr.entries.push_back(
-      TmmbrEntry{Ssrc(0x6666),
-                 MxTbr::FromBitrate(DataRate::KilobitsPerSec(1200), 40)});
-  Remb remb;
-  remb.sender_ssrc = Ssrc(0x7777);
-  remb.bitrate = DataRate::KilobitsPerSec(900);
-  remb.ssrcs = {Ssrc(0x8888), Ssrc(0x9999)};
   Semb semb;
   semb.sender_ssrc = Ssrc(0xaaaa);
   semb.bitrate = DataRate::KilobitsPerSec(1500);
@@ -63,16 +69,16 @@ std::vector<uint8_t> FullCompound() {
   Pli pli;
   pli.sender_ssrc = Ssrc(0x2345);
   pli.media_ssrc = Ssrc(0x6789);
-  AppPacket app;
-  app.sender_ssrc = Ssrc(0x3456);
-  app.subtype = 9;
-  app.name[0] = 'X';
-  app.name[1] = 'Y';
-  app.name[2] = 'Z';
-  app.name[3] = 'W';
-  app.payload = {1, 2, 3, 4, 5, 6, 7, 8};
-  return SerializeCompound(
-      {sr, rr, tmmbr, remb, semb, gtbr, gtbn, feedback, nack, pli, app});
+  std::vector<uint8_t> wire;
+  for (const auto* retired : {&kRetiredSr, &kRetiredRr, &kRetiredTmmbr,
+                              &kRetiredRemb}) {
+    wire.insert(wire.end(), retired->begin(), retired->end());
+  }
+  const std::vector<uint8_t> known =
+      SerializeCompound({semb, gtbr, gtbn, feedback, nack, pli});
+  wire.insert(wire.end(), known.begin(), known.end());
+  wire.insert(wire.end(), kUnknownApp.begin(), kUnknownApp.end());
+  return wire;
 }
 
 SessionDescription FullOffer() {
@@ -97,7 +103,7 @@ SessionDescription FullOffer() {
 TEST(MalformedInput, RtcpTruncationAtEveryLength) {
   const std::vector<uint8_t> wire = FullCompound();
   const size_t full_count = ParseCompound(wire).size();
-  ASSERT_EQ(full_count, 11u);
+  ASSERT_EQ(full_count, 6u);  // the five retired sub-packets are skipped
   for (size_t cut = 0; cut < wire.size(); ++cut) {
     const std::vector<uint8_t> truncated(wire.begin(),
                                          wire.begin() + static_cast<long>(cut));
@@ -152,7 +158,20 @@ TEST(MalformedInput, RtcpLyingLengthWord) {
   wire[2] = 0xff;
   wire[3] = 0xff;
   const auto parsed = ParseCompound(wire);
-  EXPECT_LE(parsed.size(), 11u);
+  EXPECT_LE(parsed.size(), 6u);
+}
+
+// Each retired sub-packet parses to nothing on its own, whole or cut.
+TEST(MalformedInput, RetiredRtcpTypesParseToNothing) {
+  for (const auto* retired : {&kRetiredSr, &kRetiredRr, &kRetiredTmmbr,
+                              &kRetiredRemb, &kUnknownApp}) {
+    ASSERT_TRUE(IsRtcp(*retired));
+    for (size_t cut = 0; cut <= retired->size(); ++cut) {
+      const std::vector<uint8_t> prefix(
+          retired->begin(), retired->begin() + static_cast<long>(cut));
+      EXPECT_TRUE(ParseCompound(prefix).empty()) << "cut=" << cut;
+    }
+  }
 }
 
 TEST(MalformedInput, SdpTruncationAtEveryLength) {

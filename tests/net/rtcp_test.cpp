@@ -1,9 +1,8 @@
 // Tests for RTCP packet serialization: every message type round-trips
 // through compound framing; MxTBR mantissa/exponent encoding; NACK
-// PID/BLP packing; robustness against malformed input.
+// PID/BLP packing; unknown sub-packets are skipped; robustness against
+// malformed input.
 #include "net/rtcp_packets.h"
-
-#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -37,76 +36,6 @@ TEST(MxTbr, ZeroDisablesStream) {
   const auto v = MxTbr::FromBitrate(DataRate::Zero());
   EXPECT_EQ(v.mantissa, 0u);
   EXPECT_EQ(v.bitrate().bps(), 0);
-}
-
-TEST(Rtcp, SenderReportRoundTrip) {
-  SenderReport sr;
-  sr.sender_ssrc = Ssrc(1234);
-  sr.ntp_time = 0x0123456789ABCDEFull;
-  sr.rtp_timestamp = 90'000;
-  sr.packet_count = 555;
-  sr.octet_count = 123'456;
-  sr.report_blocks.push_back(
-      {Ssrc(42), 128, 1000, 65'000, 77});
-  const auto parsed = ParseCompound(SerializeCompound({sr}));
-  const auto* out = GetSingle<SenderReport>(parsed);
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->sender_ssrc, sr.sender_ssrc);
-  EXPECT_EQ(out->ntp_time, sr.ntp_time);
-  EXPECT_EQ(out->rtp_timestamp, sr.rtp_timestamp);
-  EXPECT_EQ(out->packet_count, sr.packet_count);
-  EXPECT_EQ(out->octet_count, sr.octet_count);
-  ASSERT_EQ(out->report_blocks.size(), 1u);
-  EXPECT_EQ(out->report_blocks[0].source_ssrc, Ssrc(42));
-  EXPECT_EQ(out->report_blocks[0].fraction_lost, 128);
-  EXPECT_EQ(out->report_blocks[0].cumulative_lost, 1000u);
-  EXPECT_EQ(out->report_blocks[0].extended_highest_sequence, 65'000u);
-  EXPECT_EQ(out->report_blocks[0].jitter, 77u);
-}
-
-TEST(Rtcp, ReceiverReportRoundTrip) {
-  ReceiverReport rr;
-  rr.sender_ssrc = Ssrc(7);
-  rr.report_blocks.push_back({Ssrc(1), 10, 20, 30, 40});
-  rr.report_blocks.push_back({Ssrc(2), 50, 60, 70, 80});
-  const auto parsed = ParseCompound(SerializeCompound({rr}));
-  const auto* out = GetSingle<ReceiverReport>(parsed);
-  ASSERT_NE(out, nullptr);
-  ASSERT_EQ(out->report_blocks.size(), 2u);
-  EXPECT_EQ(out->report_blocks[1].source_ssrc, Ssrc(2));
-}
-
-TEST(Rtcp, TmmbrAndTmmbnRoundTrip) {
-  Tmmbr tmmbr;
-  tmmbr.sender_ssrc = Ssrc(9);
-  tmmbr.entries.push_back(
-      {Ssrc(100), MxTbr::FromBitrate(DataRate::KilobitsPerSec(600), 40)});
-  const auto parsed = ParseCompound(SerializeCompound({tmmbr}));
-  const auto* out = GetSingle<Tmmbr>(parsed);
-  ASSERT_NE(out, nullptr);
-  ASSERT_EQ(out->entries.size(), 1u);
-  EXPECT_EQ(out->entries[0].ssrc, Ssrc(100));
-  EXPECT_EQ(out->entries[0].max_total_bitrate.bitrate().bps(), 600'000);
-  EXPECT_EQ(out->entries[0].max_total_bitrate.overhead, 40);
-
-  Tmmbn tmmbn;
-  tmmbn.sender_ssrc = Ssrc(9);
-  tmmbn.entries = tmmbr.entries;
-  const auto parsed2 = ParseCompound(SerializeCompound({tmmbn}));
-  EXPECT_NE(GetSingle<Tmmbn>(parsed2), nullptr);
-}
-
-TEST(Rtcp, RembRoundTrip) {
-  Remb remb;
-  remb.sender_ssrc = Ssrc(3);
-  remb.bitrate = DataRate::KilobitsPerSec(2500);
-  remb.ssrcs = {Ssrc(10), Ssrc(11)};
-  const auto parsed = ParseCompound(SerializeCompound({remb}));
-  const auto* out = GetSingle<Remb>(parsed);
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->bitrate.bps(), 2'500'000);
-  ASSERT_EQ(out->ssrcs.size(), 2u);
-  EXPECT_EQ(out->ssrcs[1], Ssrc(11));
 }
 
 TEST(Rtcp, SembRoundTripPreservesBitrateApproximately) {
@@ -236,18 +165,21 @@ TEST(Rtcp, PliRoundTrip) {
   EXPECT_EQ(out->media_ssrc, Ssrc(22));
 }
 
-TEST(Rtcp, UnknownAppNamePreservedGenerically) {
-  AppPacket app;
-  app.sender_ssrc = Ssrc(4);
-  app.subtype = 3;
-  std::memcpy(app.name, "XYZW", 4);
-  app.payload = {1, 2, 3, 4, 5, 6, 7, 8};
-  const auto parsed = ParseCompound(SerializeCompound({app}));
-  const auto* out = GetSingle<AppPacket>(parsed);
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(std::string(out->name, 4), "XYZW");
-  EXPECT_EQ(out->payload, app.payload);
-  EXPECT_EQ(out->subtype, 3);
+TEST(Rtcp, UnknownAppNameIsSkipped) {
+  // APP(204) "XYZW", subtype 9, 8 payload bytes, between a SEMB and a PLI.
+  const std::vector<uint8_t> app = {0x89, 0xcc, 0x00, 0x04, 0x00, 0x00,
+                                    0x34, 0x56, 0x58, 0x59, 0x5a, 0x57,
+                                    0x01, 0x02, 0x03, 0x04, 0x05, 0x06,
+                                    0x07, 0x08};
+  std::vector<uint8_t> data =
+      SerializeCompound({Semb{Ssrc(1), DataRate::KilobitsPerSec(500)}});
+  data.insert(data.end(), app.begin(), app.end());
+  const auto pli = SerializeCompound({Pli{Ssrc(2), Ssrc(3)}});
+  data.insert(data.end(), pli.begin(), pli.end());
+  const auto parsed = ParseCompound(data);
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_NE(std::get_if<Semb>(&parsed[0]), nullptr);
+  EXPECT_NE(std::get_if<Pli>(&parsed[1]), nullptr);
 }
 
 TEST(Rtcp, CompoundPreservesOrderAndCount) {

@@ -1,55 +1,48 @@
 #!/usr/bin/env python3
-"""Perf-regression gate for the controller scaling bench.
+"""Regression gate for the BENCH_*.json documents.
 
-Compares a freshly measured BENCH_controller-style JSON against the
-committed baseline (BENCH_controller.json at the repo root) per
-(shape, mode, threads) row and fails — exit 1 — when any row regressed
-more than the tolerance.
+Usage: perf_gate.py BASELINE.json CURRENT.json [--best-of=EXTRA.json]
 
-CI hosts are not the host the baseline was measured on, so raw
-ns-per-solve ratios conflate host speed with code speed. The gate
-therefore normalizes by host speed first: for every row present in both
-documents it computes ratio = new/old, takes the median ratio as the
-host-speed factor, and flags rows whose ratio exceeds
-median * (1 + tolerance). A uniform slowdown (slower CI machine) moves
-the median and trips nothing; a single shape regressing relative to the
-others trips the gate even on a faster machine.
+Every document holds rows {name, metric, unit, value}, keyed by
+(name, metric) (bench/bench_json.h writes them). The committed baseline
+also holds a "gates" block that names the metrics it gates and how:
 
-Environment overrides (documented in DESIGN.md):
-  GSO_PERF_GATE=off          skip the gate entirely (exit 0). Use when a
-                             PR knowingly trades solver speed for
-                             something else — say so in the PR and
-                             refresh the baseline in the same change.
-  GSO_PERF_GATE_ABSOLUTE=1   compare raw ratios against 1 + tolerance
-                             instead of host-normalized ratios (for
-                             measuring on the same machine that produced
-                             the baseline).
+  "gates": {
+    "wall_ns_per_solve": {"better": "lower", "tolerance": 0.10},
+    "qoe_floor": {"better": "higher", "tolerance": 0.35, "floor": 0.05},
+    "digest": {"better": "equal"}
+  }
 
-Usage: perf_gate.py BASELINE.json CURRENT.json [--tolerance=0.10]
-           [--metrics=SPEC[,SPEC...]] [--absolute]
+Each gate applies to every baseline row of its metric:
+  equal         the current value must be identical.
+  lower/higher  ratio = current/baseline, inverted for "higher" so that a
+                ratio above 1 always means worse. An optional floor clamps
+                both values up to it first, so a near-zero baseline does
+                not turn jitter into a huge ratio. The comparison fails
+                when the ratio exceeds its limit.
 
-By default the gated metric is ns_per_solve (lower is better). --metrics
-gates other per-row fields instead — one comparison per (row, metric):
-  --metrics=peak_rss_bytes,allocs_per_vhour   lower-is-better fields
-  --metrics=-qoe_floor                        '-' prefix: higher is better
-                                              (the ratio is inverted so
-                                              "regressed" still means
-                                              ratio > limit)
-  --metrics=allocs_per_vhour:4096             ':floor' clamps both sides
-                                              up to the floor first, so a
-                                              near-zero baseline does not
-                                              turn measurement jitter into
-                                              a huge ratio
---absolute is the CLI form of GSO_PERF_GATE_ABSOLUTE=1 — use it for
-soak/robustness gates whose metrics (RSS bytes, allocation counts, QoE
-floors) are deterministic per build rather than host-speed-scaled.
+Metrics named wall_* are read off the host clock, and the host running the
+gate is rarely the one that recorded the baseline. Their limit is
+host_factor * (1 + tolerance), where host_factor is the median ratio over
+all wall_* comparisons of the document: a uniformly slower machine moves
+the median and trips nothing, while one row regressing against the others
+trips the gate even on a faster machine. Every other metric (virtual time,
+counts, bytes, QoE, digests) is deterministic per build and compared raw,
+against 1 + tolerance.
 
---best-of=EXTRA.json folds a second measurement of the same rows into
-CURRENT, keeping each row's best draw (fastest for lower-is-better
-metrics, highest for higher-is-better). Timing noise on a shared runner
-is one-sided — a row draws slow, never fast — so the best of two runs
-converges on the true value, while a real regression is slow in both
-draws and still trips the gate. bench_smoke uses this on retry.
+The gate also fails when a baseline row is missing from CURRENT, or when
+a gate names a metric that no baseline row has.
+
+--best-of=EXTRA.json folds a second measurement into CURRENT, keeping each
+wall_* row's better draw. Timing noise on a shared host is one-sided (a row
+draws slow, never fast), so the best of two runs converges on the true
+value, while a real regression is slow in both draws and still trips.
+
+GSO_PERF_GATE=off skips the wall_* comparisons (say why in the change that
+needs it, and refresh the baseline there). It leaves every other
+comparison on.
+
+Exit status: 0 pass, 1 regression or missing row, 2 usage.
 """
 
 import json
@@ -58,126 +51,106 @@ import statistics
 import sys
 
 
-class MetricSpec:
-    """One gated field: name, direction, and an optional ratio floor."""
-
-    def __init__(self, spec):
-        self.higher_is_better = spec.startswith("-")
-        body = spec.lstrip("-")
-        self.name, _, floor = body.partition(":")
-        self.floor = float(floor) if floor else None
-
-    def value(self, row):
-        v = float(row[self.name])
-        if self.floor is not None:
-            v = max(v, self.floor)
-        return v
-
-    def ratio(self, baseline, current):
-        """current/baseline oriented so that > 1 means regressed."""
-        if self.higher_is_better:
-            baseline, current = current, baseline
-        if baseline == 0:
-            return 1.0 if current == 0 else float("inf")
-        return current / baseline
-
-
-def load_rows(path, metrics):
+def load(path):
     with open(path) as f:
         doc = json.load(f)
-    rows = {}
-    for row in doc.get("results", []):
-        for metric in metrics:
-            if metric.name not in row:
-                continue
-            key = (row["shape"], row.get("mode", "cold"), row["threads"],
-                   metric.name)
-            rows[key] = metric.value(row)
+    rows = {(row["name"], row["metric"]): row["value"] for row in doc["rows"]}
     return doc, rows
 
 
-def main(argv):
-    if os.environ.get("GSO_PERF_GATE", "").lower() in ("off", "0", "false"):
-        print("perf_gate: skipped (GSO_PERF_GATE=off)")
-        return 0
+def is_wall(metric):
+    return metric.startswith("wall_")
 
-    tolerance = 0.10
-    absolute_flag = False
-    best_of = []
-    metric_specs = [MetricSpec("ns_per_solve")]
-    paths = []
+
+def ratio(gate, baseline, current):
+    """current/baseline oriented so that > 1 means worse."""
+    floor = gate.get("floor")
+    if floor is not None:
+        baseline, current = max(baseline, floor), max(current, floor)
+    if gate["better"] == "higher":
+        baseline, current = current, baseline
+    if baseline == 0:
+        return 1.0 if current == 0 else float("inf")
+    return current / baseline
+
+
+def host(doc):
+    h = doc.get("host", {})
+    return f"{h.get('cpus')} x {h.get('model')}"
+
+
+def main(argv):
+    paths, best_of = [], None
     for arg in argv[1:]:
-        if arg.startswith("--tolerance="):
-            tolerance = float(arg.split("=", 1)[1])
-        elif arg.startswith("--metrics="):
-            metric_specs = [MetricSpec(s)
-                            for s in arg.split("=", 1)[1].split(",") if s]
-        elif arg.startswith("--best-of="):
-            best_of.append(arg.split("=", 1)[1])
-        elif arg == "--absolute":
-            absolute_flag = True
+        if arg.startswith("--best-of="):
+            best_of = arg.split("=", 1)[1]
+        elif arg.startswith("-"):
+            paths = []
+            break
         else:
             paths.append(arg)
-    if len(paths) != 2 or not metric_specs:
+    if len(paths) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    specs = {spec.name: spec for spec in metric_specs}
 
-    baseline_doc, baseline = load_rows(paths[0], metric_specs)
-    current_doc, current = load_rows(paths[1], metric_specs)
-    for extra_path in best_of:
-        _, extra = load_rows(extra_path, metric_specs)
+    baseline_doc, baseline = load(paths[0])
+    current_doc, current = load(paths[1])
+    gates = baseline_doc.get("gates", {})
+    if best_of:
+        _, extra = load(best_of)
         for key, value in extra.items():
-            if key not in current:
-                continue
-            spec = specs[key[3]]
-            better = max if spec.higher_is_better else min
-            current[key] = better(current[key], value)
-
-    shared = sorted(set(baseline) & set(current))
-    if not shared:
-        print("perf_gate: no shared (shape, mode, threads) rows — "
-              "baseline predates the current bench format? Refresh "
-              f"{paths[0]} from a full run.", file=sys.stderr)
-        return 1
-    missing = sorted(set(baseline) - set(current))
-    if missing:
-        print(f"perf_gate: rows missing from current run: {missing}",
-              file=sys.stderr)
-        return 1
-
-    ratios = {key: specs[key[3]].ratio(baseline[key], current[key])
-              for key in shared}
-    absolute = absolute_flag or os.environ.get("GSO_PERF_GATE_ABSOLUTE") == "1"
-    host_factor = 1.0 if absolute else statistics.median(ratios.values())
-    limit = host_factor * (1.0 + tolerance)
-
-    base_cpus = baseline_doc.get("host_cpus")
-    cur_cpus = current_doc.get("host_cpus")
-    print(f"perf_gate: {len(shared)} rows, host factor "
-          f"{host_factor:.3f} ({'absolute' if absolute else 'median'}), "
-          f"tolerance {tolerance:.0%}, cpus baseline={base_cpus} "
-          f"current={cur_cpus}")
+            gate = gates.get(key[1])
+            if gate and is_wall(key[1]) and key in current:
+                better = max if gate["better"] == "higher" else min
+                current[key] = better(current[key], value)
 
     failures = []
-    for key in shared:
-        ratio = ratios[key]
-        flag = ratio > limit
-        if flag:
-            failures.append(key)
-        shape, mode, threads, metric = key
-        print(f"  {'REGRESSED' if flag else 'ok':<9} "
-              f"{shape:<28} {mode:<10} threads={threads}  "
-              f"{metric}: {baseline[key]:>12.4g} -> {current[key]:>12.4g}  "
-              f"(x{ratio:.3f}, limit x{limit:.3f})")
+    unmatched = sorted(set(gates) - {metric for _, metric in baseline})
+    if unmatched:
+        failures.append(f"gates name metrics no baseline row has: {unmatched}")
+    missing = sorted(set(baseline) - set(current))
+    if missing:
+        failures.append(f"baseline rows missing from the current run: {missing}")
+
+    off = os.environ.get("GSO_PERF_GATE", "").lower() in ("off", "0", "false")
+    gated = sorted(key for key in baseline
+                   if key[1] in gates and key in current)
+    skipped = [key for key in gated if off and is_wall(key[1])]
+    gated = [key for key in gated if key not in skipped]
+    ratios = {key: ratio(gates[key[1]], baseline[key], current[key])
+              for key in gated if gates[key[1]]["better"] != "equal"}
+    wall = [r for key, r in ratios.items() if is_wall(key[1])]
+    host_factor = statistics.median(wall) if wall else 1.0
+
+    print(f"perf_gate: {paths[0]}: {len(gated)} comparisons, host factor "
+          f"{host_factor:.3f} over {len(wall)} wall_* rows; host baseline "
+          f"{host(baseline_doc)}, current {host(current_doc)}")
+    if skipped:
+        print(f"perf_gate: GSO_PERF_GATE=off: skipped {len(skipped)} "
+              "wall_* comparisons")
+    for key in gated:
+        name, metric = key
+        gate = gates[metric]
+        if gate["better"] == "equal":
+            ok = current[key] == baseline[key]
+            detail = f"{baseline[key]} -> {current[key]}"
+        else:
+            limit = (host_factor if is_wall(metric) else 1.0) * (
+                1.0 + gate["tolerance"])
+            ok = ratios[key] <= limit
+            detail = (f"{baseline[key]:>12.6g} -> {current[key]:>12.6g}  "
+                      f"(x{ratios[key]:.3f}, limit x{limit:.3f})")
+        if not ok:
+            failures.append(f"{name} {metric}")
+        print(f"  {'ok' if ok else 'REGRESSED':<9} {name:<28} {metric:<26} "
+              f"{detail}")
 
     if failures:
-        print(f"perf_gate: {len(failures)} row(s) regressed more than "
-              f"{tolerance:.0%} beyond the host factor. Either fix the "
-              "regression or, if it is an accepted trade-off, rerun the "
-              "full bench, commit the refreshed baseline, and explain in "
-              "the PR (GSO_PERF_GATE=off skips this gate).",
-              file=sys.stderr)
+        for failure in failures:
+            print(f"perf_gate: FAIL {failure}", file=sys.stderr)
+        print("perf_gate: fix the regression or, if it is an accepted "
+              "trade-off, refresh the baseline's rows from a full run, keep "
+              "its gates, and say why in the change.", file=sys.stderr)
         return 1
     print("perf_gate: OK")
     return 0
