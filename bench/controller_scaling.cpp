@@ -6,11 +6,12 @@
 // (SolveWarm) for the controller's steady-state event kinds: a single
 // bandwidth report, a subscriber join, a subscriber leave. Every warm
 // measurement is verified bit-identical against a cold solve before it is
-// timed. Results are written as BENCH rows (bench/bench_json.h): per shape
-// the wall_ns_per_solve latency and the wall_timed_solves of the kept batch
-// (both read off the host clock), and the solution's total_qoe and
-// iterations, which no optimization may change (see BENCH_controller.json
-// at the repo root and tools/perf_gate.py).
+// timed. The rows are timed in interleaved round-robin batches (see
+// TimeInterleaved). Results are written as BENCH rows (bench/bench_json.h):
+// per shape the wall_ns_per_solve latency and the wall_timed_solves of the
+// kept batch (both read off the host clock), and the solution's total_qoe
+// and iterations, which no optimization may change (see
+// BENCH_controller.json at the repo root and tools/perf_gate.py).
 //
 // With --trace-out=FILE it additionally dumps one observability trace per
 // shape (SolveStats work counts and per-step wall time as schema-locked
@@ -23,7 +24,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_json.h"
@@ -51,38 +55,66 @@ struct Row {
   int iterations = 0;
 };
 
-// Repeats whole solves until `min_seconds` of wall time, three batches, and
-// keeps the fastest batch (per-solve average) to damp scheduler noise.
-template <typename SolveFn>
-Row TimeShape(const std::string& name, double min_seconds, SolveFn&& solve) {
+// A row under measurement: `solve(i)` runs the i-th measured solve of the
+// row, plus any untimed set-up or restore around it, and returns the wall
+// time of that solve in seconds.
+struct Timed {
   Row row;
-  row.shape = name;
+  std::function<double(int)> solve;
+  int calls = 0;  // measured solves so far, over all batches
+};
+
+// Times every row in three round-robin rounds. Each round runs one batch
+// per row, repeating its solve until `min_seconds` of timed wall time, and
+// each row keeps its fastest batch (per-solve average) to damp scheduler
+// noise. Interleaving spreads a shift in host speed (another tenant, a
+// frequency change) over every row alike, which the gate's host factor
+// (the median ratio over all rows) then absorbs; back-to-back batches of
+// one row would pin such a shift on whichever rows ran during it.
+void TimeInterleaved(std::vector<Timed>* timed, double min_seconds) {
+  for (int round = 0; round < 3; ++round) {
+    for (Timed& t : *timed) {
+      int solves = 0;
+      double elapsed = 0.0;
+      while (elapsed < min_seconds) {
+        elapsed += t.solve(t.calls++);
+        ++solves;
+      }
+      const double per_solve = elapsed / solves * 1e9;
+      if (round == 0 || per_solve < t.row.ns_per_solve) {
+        t.row.ns_per_solve = per_solve;
+        t.row.solves = solves;
+      }
+    }
+  }
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+// Cold solves of `shape`, which must outlive the returned row.
+Timed ColdShape(const Shape& shape, const MckpSolver* solver) {
+  auto orchestrator = std::make_shared<Orchestrator>(solver);
+  Timed timed;
+  timed.row.shape = shape.name;
   {
-    const Solution s = solve();  // warm-up, and record invariants
-    row.total_qoe = s.total_qoe;
-    row.iterations = s.iterations;
+    // Warm-up, and record invariants.
+    const Solution& s = orchestrator->Solve(SolveRequest::Cold(shape.problem));
+    timed.row.total_qoe = s.total_qoe;
+    timed.row.iterations = s.iterations;
   }
-  double best = 1e300;
-  for (int batch = 0; batch < 3; ++batch) {
-    int solves = 0;
+  timed.solve = [orchestrator, &problem = shape.problem](int) {
     const auto start = std::chrono::steady_clock::now();
-    double elapsed = 0.0;
-    while (elapsed < min_seconds) {
-      const Solution s = solve();
+    {
+      const Solution s = orchestrator->Solve(SolveRequest::Cold(problem));
       if (s.iterations == 0) std::abort();  // keep the call alive
-      ++solves;
-      elapsed = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
     }
-    const double per_solve = elapsed / solves * 1e9;
-    if (per_solve < best) {
-      best = per_solve;
-      row.solves = solves;
-    }
-  }
-  row.ns_per_solve = best;
-  return row;
+    return SecondsSince(start);
+  };
+  return timed;
 }
 
 // Bit-level equality of the semantic Solution fields — the same contract
@@ -129,79 +161,80 @@ bool SameSolution(const Solution& a, const Solution& b) {
   return true;
 }
 
+// Mutates or restores a warm problem before or after its i-th measured
+// solve; a restore returns whether it changed the problem.
+using Mutation = std::function<void(OrchestrationProblem&, int)>;
+using Restore = std::function<bool(OrchestrationProblem&, int)>;
+
 // Times SolveWarm under a repeating delta: each measured solve follows one
-// `mutate(i)` of the problem; `restore(i)` (may be a no-op) undoes the
-// mutation with an untimed warm solve so the measured state is periodic.
-// The first few cycles verify warm-vs-cold bit-identity before any timing.
-template <typename MutateFn, typename RestoreFn>
-Row TimeDeltaShape(const std::string& name, double min_seconds,
-                   const Orchestrator& orchestrator,
-                   OrchestrationProblem& problem, MutateFn&& mutate,
-                   RestoreFn&& restore) {
-  Row row;
-  row.shape = name;
+// `mutate(i)` of the problem; `restore(i)` undoes the mutation with an
+// untimed warm solve when it returns true, so the measured state is
+// periodic. The first few cycles verify warm-vs-cold bit-identity before
+// any timing.
+Timed DeltaShape(const std::string& name, const MckpSolver* solver,
+                 OrchestrationProblem problem, Mutation mutate,
+                 Restore restore) {
+  struct State {
+    explicit State(const MckpSolver* solver) : orchestrator(solver) {}
+    Orchestrator orchestrator;
+    OrchestrationProblem problem;
+  };
+  auto state = std::make_shared<State>(solver);
+  state->problem = std::move(problem);
+  Timed timed;
+  timed.row.shape = name;
 
   DpMckpSolver cold_solver;
   const Orchestrator cold(&cold_solver);
-  (void)orchestrator.Solve(SolveRequest::Warm(problem));
+  (void)state->orchestrator.Solve(SolveRequest::Warm(state->problem));
   for (int i = 0; i < 4; ++i) {
-    mutate(i);
-    const Solution& warm = orchestrator.Solve(SolveRequest::Warm(problem));
-    if (!SameSolution(warm, cold.Solve(SolveRequest::Cold(problem)))) {
+    mutate(state->problem, i);
+    const Solution& warm =
+        state->orchestrator.Solve(SolveRequest::Warm(state->problem));
+    if (!SameSolution(warm, cold.Solve(SolveRequest::Cold(state->problem)))) {
       std::fprintf(stderr, "%s: warm solve diverged from cold solve\n",
                    name.c_str());
       std::exit(1);
     }
-    row.total_qoe = warm.total_qoe;
-    row.iterations = warm.iterations;
-    if (restore(i)) (void)orchestrator.Solve(SolveRequest::Warm(problem));
+    timed.row.total_qoe = warm.total_qoe;
+    timed.row.iterations = warm.iterations;
+    if (restore(state->problem, i)) {
+      (void)state->orchestrator.Solve(SolveRequest::Warm(state->problem));
+    }
   }
 
-  double best = 1e300;
-  for (int batch = 0; batch < 3; ++batch) {
-    int solves = 0;
-    double elapsed = 0.0;
-    while (elapsed < min_seconds) {
-      mutate(solves);
-      const auto start = std::chrono::steady_clock::now();
-      const Solution& s = orchestrator.Solve(SolveRequest::Warm(problem));
-      elapsed += std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-      if (s.iterations == 0) std::abort();  // keep the call alive
-      ++solves;
-      if (restore(solves - 1)) (void)orchestrator.Solve(SolveRequest::Warm(problem));
+  timed.solve = [state, mutate = std::move(mutate),
+                 restore = std::move(restore)](int i) {
+    mutate(state->problem, i);
+    const auto start = std::chrono::steady_clock::now();
+    const Solution& s =
+        state->orchestrator.Solve(SolveRequest::Warm(state->problem));
+    const double elapsed = SecondsSince(start);
+    if (s.iterations == 0) std::abort();  // keep the call alive
+    if (restore(state->problem, i)) {
+      (void)state->orchestrator.Solve(SolveRequest::Warm(state->problem));
     }
-    const double per_solve = elapsed / solves * 1e9;
-    if (per_solve < best) {
-      best = per_solve;
-      row.solves = solves;
-    }
-  }
-  row.ns_per_solve = best;
-  return row;
+    return elapsed;
+  };
+  return timed;
 }
 
 // The three steady-state delta kinds on one base shape. The joining client
 // is subscriber-only (watches every publisher): its arrival and departure
 // leave every existing subscriber's inputs untouched, which is exactly the
 // structural-delta fast path the warm diff is meant to exploit.
-void RunDeltaShapes(const Shape& shape, double min_seconds,
-                    std::vector<Row>* rows) {
-  DpMckpSolver solver;
-
+void AddDeltaShapes(const Shape& shape, const MckpSolver* solver,
+                    std::vector<Timed>* timed) {
   {  // delta_report: one client's downlink report moves.
-    Orchestrator orchestrator(&solver);
-    OrchestrationProblem problem = shape.problem;
-    const size_t victim = problem.budgets.size() / 2;
-    const DataRate base = problem.budgets[victim].downlink;
-    rows->push_back(TimeDeltaShape(
-        shape.name + "+delta_report", min_seconds, orchestrator, problem,
-        [&](int i) {
+    const size_t victim = shape.problem.budgets.size() / 2;
+    const DataRate base = shape.problem.budgets[victim].downlink;
+    timed->push_back(DeltaShape(
+        shape.name + "+delta_report", solver, shape.problem,
+        [victim, base](OrchestrationProblem& problem, int i) {
           problem.budgets[victim].downlink =
               i % 2 == 0 ? base + DataRate::KilobitsPerSec(500) : base;
         },
-        [](int) { return false; }));
+        [](OrchestrationProblem&, int) { return false; }));
   }
 
   std::vector<SourceId> publishers;
@@ -209,7 +242,7 @@ void RunDeltaShapes(const Shape& shape, double min_seconds,
     publishers.push_back(cap.source);
   }
   const ClientId joiner{1000000};
-  const auto add_joiner = [&](OrchestrationProblem& problem) {
+  const auto add_joiner = [joiner, publishers](OrchestrationProblem& problem) {
     problem.budgets.push_back({joiner, DataRate::KilobitsPerSec(2000),
                                DataRate::KilobitsPerSec(6000)});
     for (const SourceId& source : publishers) {
@@ -217,36 +250,35 @@ void RunDeltaShapes(const Shape& shape, double min_seconds,
           {joiner, source, kResolution720p, 1.0, 0});
     }
   };
-  const auto remove_joiner = [&](OrchestrationProblem& problem) {
+  const auto remove_joiner = [n = publishers.size()](
+                                 OrchestrationProblem& problem) {
     problem.budgets.pop_back();
-    problem.subscriptions.resize(problem.subscriptions.size() -
-                                 publishers.size());
+    problem.subscriptions.resize(problem.subscriptions.size() - n);
   };
 
-  {  // delta_join: the new subscriber appears (timed), departs (untimed).
-    Orchestrator orchestrator(&solver);
-    OrchestrationProblem problem = shape.problem;
-    rows->push_back(TimeDeltaShape(
-        shape.name + "+delta_join", min_seconds, orchestrator, problem,
-        [&](int) { add_joiner(problem); },
-        [&](int) {
-          remove_joiner(problem);
-          return true;
-        }));
-  }
+  // delta_join: the new subscriber appears (timed), departs (untimed).
+  timed->push_back(DeltaShape(
+      shape.name + "+delta_join", solver, shape.problem,
+      [add_joiner](OrchestrationProblem& problem, int) {
+        add_joiner(problem);
+      },
+      [remove_joiner](OrchestrationProblem& problem, int) {
+        remove_joiner(problem);
+        return true;
+      }));
 
-  {  // delta_leave: the subscriber departs (timed), rejoins (untimed).
-    Orchestrator orchestrator(&solver);
-    OrchestrationProblem problem = shape.problem;
-    add_joiner(problem);
-    rows->push_back(TimeDeltaShape(
-        shape.name + "+delta_leave", min_seconds, orchestrator, problem,
-        [&](int) { remove_joiner(problem); },
-        [&](int) {
-          add_joiner(problem);
-          return true;
-        }));
-  }
+  // delta_leave: the subscriber departs (timed), rejoins (untimed).
+  OrchestrationProblem joined = shape.problem;
+  add_joiner(joined);
+  timed->push_back(DeltaShape(
+      shape.name + "+delta_leave", solver, std::move(joined),
+      [remove_joiner](OrchestrationProblem& problem, int) {
+        remove_joiner(problem);
+      },
+      [add_joiner](OrchestrationProblem& problem, int) {
+        add_joiner(problem);
+        return true;
+      }));
 }
 
 // One solve per shape into an obs registry: the control-plane solve-trace
@@ -329,29 +361,24 @@ int main(int argc, char** argv) {
   shapes.push_back(
       {"webinar_10x200", gso::bench::MeshProblem(10, 200, 6, 43)});
 
-  std::vector<Row> rows;
-  for (const auto& shape : shapes) {
-    DpMckpSolver solver;
-    Orchestrator orchestrator(&solver);
-    rows.push_back(TimeShape(shape.name, min_seconds, [&] {
-      return orchestrator.Solve(SolveRequest::Cold(shape.problem));
-    }));
-    std::printf("%-28s %10.0f ns/solve  (%d solves, qoe %.1f)\n",
-                rows.back().shape.c_str(), rows.back().ns_per_solve,
-                rows.back().solves, rows.back().total_qoe);
-  }
-
-  // Warm-start deltas on the two shapes whose cold solves dominate a real
-  // deployment: the largest mesh and the webinar.
+  // Cold solves of every shape, then warm-start deltas on the two shapes
+  // whose cold solves dominate a real deployment: the largest mesh and the
+  // webinar.
+  const DpMckpSolver solver;
+  std::vector<Timed> timed;
+  for (const auto& shape : shapes) timed.push_back(ColdShape(shape, &solver));
   for (const auto& shape : shapes) {
     if (shape.name != "mesh_64" && shape.name != "webinar_10x200") continue;
-    const size_t first = rows.size();
-    RunDeltaShapes(shape, min_seconds, &rows);
-    for (size_t i = first; i < rows.size(); ++i) {
-      std::printf("%-28s %10.0f ns/solve  (%d solves, qoe %.1f)\n",
-                  rows[i].shape.c_str(), rows[i].ns_per_solve, rows[i].solves,
-                  rows[i].total_qoe);
-    }
+    AddDeltaShapes(shape, &solver, &timed);
+  }
+  TimeInterleaved(&timed, min_seconds);
+
+  std::vector<Row> rows;
+  for (const Timed& t : timed) {
+    rows.push_back(t.row);
+    std::printf("%-28s %10.0f ns/solve  (%d solves, qoe %.1f)\n",
+                t.row.shape.c_str(), t.row.ns_per_solve, t.row.solves,
+                t.row.total_qoe);
   }
 
   gso::bench::BenchJson json(label);

@@ -57,6 +57,88 @@ int64_t PruneClass(const MckpClass& cls, const int64_t* vq, int64_t capacity,
   return max_vq;
 }
 
+using HullStep = MckpWorkspace::HullStep;
+
+// Builds the upper convex hull of one pruned class over its survivors and
+// the empty choice (0, 0), and appends the hull's steps, each of positive
+// weight and value, to `segments` in hull order (decreasing efficiency).
+// `order` is PruneClass's sort of the class. Returns the hull's value at
+// weight 0: a weight-0 survivor's value, else 0.
+int64_t AppendHullSteps(const MckpClass& cls, const int64_t* vq,
+                        const uint8_t* keep, const std::vector<int16_t>& order,
+                        std::vector<HullStep>* hull,
+                        std::vector<HullStep>* segments) {
+  hull->assign(1, HullStep{0, 0});
+  // Survivors by ascending value are also by strictly ascending weight.
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const auto j = static_cast<size_t>(*it);
+    if (!keep[j]) continue;
+    const HullStep p{cls.items[j].weight, vq[j]};
+    if (p.weight == 0) {
+      hull->front().value = p.value;  // the lightest survivor, so the first
+      continue;
+    }
+    if (p.value <= hull->back().value) continue;
+    // Drop the last vertex unless the slope into it beats the slope out.
+    while (hull->size() >= 2) {
+      const HullStep& a = (*hull)[hull->size() - 2];
+      const HullStep& b = hull->back();
+      if (static_cast<__int128>(b.value - a.value) * (p.weight - b.weight) >
+          static_cast<__int128>(p.value - b.value) * (b.weight - a.weight)) {
+        break;
+      }
+      hull->pop_back();
+    }
+    hull->push_back(p);
+  }
+  for (size_t i = 1; i < hull->size(); ++i) {
+    segments->push_back(HullStep{(*hull)[i].weight - (*hull)[i - 1].weight,
+                                 (*hull)[i].value - (*hull)[i - 1].value});
+  }
+  return hull->front().value;
+}
+
+// Prunes every class (ws->keep, ws->max_vq) and computes the value band
+// ws->band_lower (L) and ws->band_upper (U) described at DpMckpSolver.
+void PruneAndBound(std::span<const MckpClass> classes, int64_t capacity,
+                   MckpWorkspace* ws) {
+  ws->max_vq.resize(classes.size());
+  ws->segments.clear();
+  int64_t taken = 0;  // the hulls' values at weight 0, then whole steps
+  bool any_mandatory = false;
+  for (size_t k = 0; k < classes.size(); ++k) {
+    const auto& cls = classes[k];
+    GSO_CHECK(cls.items.size() <
+              static_cast<size_t>(std::numeric_limits<int16_t>::max()));
+    const int64_t* vq = ws->vq.data() + ws->vq_offset[k];
+    uint8_t* keep = ws->keep.data() + ws->vq_offset[k];
+    ws->max_vq[k] = PruneClass(cls, vq, capacity, keep, &ws->order);
+    taken += AppendHullSteps(cls, vq, keep, ws->order, &ws->hull,
+                             &ws->segments);
+    any_mandatory = any_mandatory || cls.mandatory;
+  }
+  std::sort(ws->segments.begin(), ws->segments.end(),
+            [](const HullStep& a, const HullStep& b) {
+              return static_cast<__int128>(a.value) * b.weight >
+                     static_cast<__int128>(b.value) * a.weight;
+            });
+  // Dantzig's greedy: whole steps while they fit, then a fraction of the
+  // first that does not. Steps exist only when capacity >= 0.
+  int64_t rem = capacity;
+  int64_t fraction = 0;
+  for (const HullStep& step : ws->segments) {
+    if (step.weight > rem) {
+      fraction = static_cast<int64_t>(static_cast<__int128>(step.value) *
+                                      rem / step.weight);
+      break;
+    }
+    rem -= step.weight;
+    taken += step.value;
+  }
+  ws->band_lower = any_mandatory ? 0 : taken;
+  ws->band_upper = taken + fraction;
+}
+
 // Relaxes item `item` (weight `weight`) over n cells: dst[i] and row[i]
 // are the target cell and its choice entry, src[i] the cell one item-value
 // below. Branchless, so the loop vectorizes; fixed-size blocks give GCC a
@@ -89,12 +171,13 @@ void RelaxItem(const Cell* __restrict src, Cell* __restrict dst,
 }
 
 // Runs every class pass on `Cell`-wide tables `dp`/`next` (cells up to
-// `cells`, row stride `width` in ws->choices). `cap` is cap_eff. Returns the
+// `cells`, row stride `width` in ws->choices) over the classes PruneAndBound
+// pruned, each from its band floor ws->lo[k]. `cap` is cap_eff. Returns the
 // best quantized value reachable within it, or -1 when infeasible.
 template <typename Cell>
-int64_t RunPasses(std::span<const MckpClass> classes, int64_t capacity,
-                  Cell cap, int64_t cells, size_t width, std::vector<Cell>& dp,
-                  std::vector<Cell>& next, MckpWorkspace* ws) {
+int64_t RunPasses(std::span<const MckpClass> classes, Cell cap, int64_t cells,
+                  size_t width, std::vector<Cell>& dp, std::vector<Cell>& next,
+                  MckpWorkspace* ws) {
   constexpr Cell kInf = kInfCell<Cell>;
   if (dp.size() < width) dp.resize(width);
   if (next.size() < width) next.resize(width);
@@ -111,24 +194,24 @@ int64_t RunPasses(std::span<const MckpClass> classes, int64_t capacity,
 
   for (size_t k = 0; k < classes.size(); ++k) {
     const auto& cls = classes[k];
-    GSO_CHECK(cls.items.size() <
-              static_cast<size_t>(std::numeric_limits<int16_t>::max()));
     const int64_t* vq = ws->vq.data() + ws->vq_offset[k];
-    uint8_t* keep = ws->keep.data() + ws->vq_offset[k];
-    const int64_t max_vq = PruneClass(cls, vq, capacity, keep, &ws->order);
+    const uint8_t* keep = ws->keep.data() + ws->vq_offset[k];
+    const int64_t lo = ws->lo[k];
 
     // This pass can only populate cells up to reach + max_vq.
-    const int64_t row_end = std::min(cells, reach + max_vq);
+    const int64_t row_end = std::min(cells, reach + ws->max_vq[k]);
+    GSO_CHECK_LE(lo, row_end);
     // Start from the skip branch (or unreachable when the class is
     // mandatory: every state must then include an item of this class).
     if (cls.mandatory) {
-      std::fill(next.begin(),
+      std::fill(next.begin() + static_cast<ptrdiff_t>(lo),
                 next.begin() + static_cast<ptrdiff_t>(
                                    std::max(row_end, wm_next) + 1),
                 kInf);
     } else {
-      std::copy(dp.begin(), dp.begin() + static_cast<ptrdiff_t>(row_end + 1),
-                next.begin());
+      std::copy(dp.begin() + static_cast<ptrdiff_t>(lo),
+                dp.begin() + static_cast<ptrdiff_t>(row_end + 1),
+                next.begin() + static_cast<ptrdiff_t>(lo));
       if (wm_next > row_end) {
         std::fill(next.begin() + static_cast<ptrdiff_t>(row_end + 1),
                   next.begin() + static_cast<ptrdiff_t>(wm_next + 1), kInf);
@@ -136,12 +219,14 @@ int64_t RunPasses(std::span<const MckpClass> classes, int64_t capacity,
     }
     wm_next = row_end;
     int16_t* row = ws->choices.data() + k * width;
-    std::fill(row, row + row_end + 1, static_cast<int16_t>(-1));
+    std::fill(row + std::min(lo, reach + 1), row + row_end + 1,
+              static_cast<int16_t>(-1));
 
     for (size_t j = 0; j < cls.items.size(); ++j) {
-      if (!keep[j] || vq[j] > row_end) continue;
-      RelaxItem(dp.data(), next.data() + vq[j], row + vq[j],
-                row_end - vq[j] + 1, static_cast<Cell>(cls.items[j].weight),
+      const int64_t first = std::max(vq[j], lo);
+      if (!keep[j] || first > row_end) continue;
+      RelaxItem(dp.data() + (first - vq[j]), next.data() + first, row + first,
+                row_end - first + 1, static_cast<Cell>(cls.items[j].weight),
                 cap, static_cast<int16_t>(j));
     }
     // The highest cell the pass improved, if above the skip branch's reach.
@@ -213,16 +298,10 @@ void DpMckpSolver::Solve(std::span<const MckpClass> classes, int64_t capacity,
   if (value_sum / quantum > static_cast<double>(max_cells_)) {
     quantum = value_sum / static_cast<double>(max_cells_);
   }
-  const int64_t cells =
-      std::max<int64_t>(1, static_cast<int64_t>(value_sum / quantum));
-  const size_t width = static_cast<size_t>(cells) + 1;
-  if (ws->choices.size() < classes.size() * width) {
-    ws->choices.resize(classes.size() * width);
-  }
 
-  // Quantize every item value exactly once. The forward pass and the
-  // backtrack both read this table, so an item can never shift grid cells
-  // between the two phases.
+  // Quantize every item value exactly once. The bound, the forward pass and
+  // the backtrack all read this table, so an item can never shift grid
+  // cells between the phases.
   if (ws->vq.size() < total_items) ws->vq.resize(total_items);
   ws->vq_offset.assign(classes.size() + 1, 0);
   if (ws->keep.size() < total_items) ws->keep.resize(total_items);
@@ -237,15 +316,33 @@ void DpMckpSolver::Solve(std::span<const MckpClass> classes, int64_t capacity,
     ws->vq_offset[classes.size()] = offset;
   }
 
+  // The value band: no cell above U is ever finite, and each class pass
+  // starts at its floor lo_k.
+  PruneAndBound(classes, capacity, ws);
+  const int64_t cells = std::max<int64_t>(
+      1, std::min(static_cast<int64_t>(value_sum / quantum), ws->band_upper));
+  // Rounding in value_sum can leave L's selection above the grid; the DP
+  // then cannot represent it, so drop the floor.
+  if (ws->band_lower > cells) ws->band_lower = 0;
+  ws->lo.resize(classes.size());
+  int64_t suffix = 0;  // sum of max_vq over the classes after k
+  for (size_t k = classes.size(); k-- > 0;) {
+    ws->lo[k] = std::max<int64_t>(0, ws->band_lower - suffix);
+    suffix += ws->max_vq[k];
+  }
+  const size_t width = static_cast<size_t>(cells) + 1;
+  if (ws->choices.size() < classes.size() * width) {
+    ws->choices.resize(classes.size() * width);
+  }
+
   int64_t best_v;
   if (cap_eff < kInfCell<int32_t>) {
-    best_v = RunPasses<int32_t>(classes, capacity,
-                                static_cast<int32_t>(cap_eff), cells, width,
-                                ws->dp32, ws->next32, ws);
+    best_v = RunPasses<int32_t>(classes, static_cast<int32_t>(cap_eff), cells,
+                                width, ws->dp32, ws->next32, ws);
   } else {
     GSO_CHECK_LT(cap_eff, kInfCell<int64_t>);
-    best_v = RunPasses<int64_t>(classes, capacity, cap_eff, cells, width,
-                                ws->dp64, ws->next64, ws);
+    best_v = RunPasses<int64_t>(classes, cap_eff, cells, width, ws->dp64,
+                                ws->next64, ws);
   }
   if (best_v < 0) {
     result.feasible = false;

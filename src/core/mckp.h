@@ -43,6 +43,12 @@ struct MckpResult {
 // A workspace may be reused freely across solvers, capacities and problem
 // shapes; buffers only ever grow.
 struct MckpWorkspace {
+  // A (weight, quantized value) pair: a hull vertex, or the step between two.
+  struct HullStep {
+    int64_t weight = 0;
+    int64_t value = 0;
+  };
+
   // dp[v]: min weight at quantized value v; `next` double-buffers the class
   // pass. One pair per cell width (see DpMckpSolver); a solve uses one.
   std::vector<int32_t> dp32;
@@ -54,6 +60,15 @@ struct MckpWorkspace {
   std::vector<std::size_t> vq_offset;  // per class: offset of its items in vq
   std::vector<int16_t> order;     // dominance-pruning sort scratch
   std::vector<uint8_t> keep;      // dominance-pruning survivor flags
+  std::vector<int64_t> max_vq;    // per class: largest surviving item value
+  std::vector<int64_t> lo;        // per class: lowest cell of its band
+  std::vector<HullStep> hull;     // one class's upper convex hull
+  std::vector<HullStep> segments; // every class's hull steps, by efficiency
+
+  // The last DpMckpSolver solve's value band, in quantized cells:
+  // band_lower <= best value <= band_upper (see DpMckpSolver).
+  int64_t band_lower = 0;
+  int64_t band_upper = 0;
 };
 
 class MckpSolver {
@@ -77,10 +92,12 @@ class MckpSolver {
 // achieving quantized value v (the classic FPTAS formulation). Weights stay
 // exact, so a returned solution never exceeds the capacity and knife-edge
 // fits are found; value quantization is the only source of sub-optimality
-// (loss <= #classes * value_quantum). With value_quantum = 1 QoE unit the
-// table size grows linearly with the number of classes (publishers), which
-// reproduces the paper's reported scaling: linear in subscribers and
-// bitrate levels, quadratic in publishers (Fig. 6c).
+// (loss <= #classes * value_quantum). Each class pass computes only the
+// value band described below, not the whole grid. The grid still grows
+// with the number of classes (publishers): measured with
+// bench/controller_scaling, a cold mesh_n solve (n subscribers, each with
+// n - 1 classes) grows as ~n^2.4 from mesh_8 to mesh_64, ~n^1.4 per
+// subscriber, and Fig. 6c's publisher doubling costs x2.5 (EXPERIMENTS.md).
 //
 // Before the DP, each class is reduced by dominance pruning: an item is
 // dropped when another item of the class weighs no more and achieves at
@@ -91,13 +108,46 @@ class MckpSolver {
 // run over strictly fewer items. Each class pass is bounded by the highest
 // reachable value so far (`reach`), which skips provably unreachable cells.
 //
+// Value band. Every class is pruned before the first pass; the survivors
+// give two bounds on best_v, the quantized value the DP returns:
+//   U: the Dyer–Zemel LP bound. Each class's survivors plus the empty
+//      choice (0, 0) span an upper convex hull; its steps, sorted by
+//      efficiency (value per weight) across classes, are taken greedily
+//      until one no longer fits, and that one is taken fractionally.
+//      U = floor(LP). Every partial selection within the capacity is
+//      LP-feasible, so no DP cell above U is ever finite.
+//   L: the quantized value of the steps the greedy took whole. They pick
+//      one hull vertex (a surviving item, or none) per class within the
+//      capacity, so best_v >= L. L = 0 when a class is mandatory, since the
+//      greedy selection may skip it.
+// Integer arithmetic throughout: int64_t weights and values, __int128
+// cross-products. The solver then narrows the grid in two ways:
+//   Top: cells = min(value_sum / quantum, U). The dropped cells were never
+//   finite, so their choice entries were never set.
+//   Floor: class k's pass computes only cells >= lo_k, where
+//   lo_k = max(0, L - sum over i > k of max_vq_i) and max_vq_i is class i's
+//   largest surviving value.
+// Proof that the result is unchanged. The backtrack reads class k's row at
+// best_v minus the values chosen in classes k+1.., which is at least
+// L - sum_{i>k} max_vq_i, so at a cell >= lo_k. Pass k fills cell c from
+// dp[c] (skip) and dp[c - vq_j] (item j), both >= lo_k - max_vq_k >=
+// lo_{k-1}: by induction on k, every cell >= lo_k holds exactly the value
+// and choice entry of the unbanded DP, computed from the same sources in
+// the same item order. The final scan stops at best_v >= L = lo_last.
+// `reach` is unchanged: the greedy selection restricted to classes 0..k
+// is feasible and worth >= lo_k, so the highest finite cell after pass k is
+// >= lo_k and lies inside the band. Choice entries are reset from
+// min(lo_k, reach + 1), which covers the scan that updates `reach`. Cells
+// below lo_k hold stale data that no later read touches.
+//
 // Cell width: every partial selection weighs at most
 // cap_eff = min(capacity, sum over classes of the heaviest eligible item),
 // so a cell fits the capacity iff it is <= cap_eff. When cap_eff < 2^30 the
 // table uses int32_t cells with 2^30 as "unreachable"; otherwise int64_t
 // cells. The width only changes speed, never the result.
 //
-// Class pass: for each kept item j (ascending) and each cell v (ascending),
+// Class pass: for each kept item j (ascending) and each cell v >= lo_k
+// (ascending),
 //   cand = dp[v - vq_j] + w_j;  take = cand <= cap_eff && cand < next[v];
 //   next[v] = take ? cand : next[v];  row[v] = take ? j : row[v].
 // The pass has no branches (an unreachable base fails the capacity test on

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -232,6 +234,66 @@ TEST(Mckp, WorkspaceShrinksAndGrowsAcrossSolves) {
     ASSERT_EQ(reused.choice, fresh.choice) << "round " << round;
     EXPECT_EQ(reused.total_value, fresh.total_value) << "round " << round;
     EXPECT_EQ(reused.total_weight, fresh.total_weight) << "round " << round;
+  }
+}
+
+// The band DpMckpSolver confines its passes to. On quantized instances
+// (integral values, quantum 1, so the DP is exact) the greedy floor L and
+// the LP bound U bracket the optimum, and L is the value of a feasible
+// selection, or 0 when a class is mandatory.
+TEST(Mckp, ValueBandBracketsTheOptimum_Property) {
+  Rng rng(5);
+  DpMckpSolver dp;
+  ExhaustiveMckpSolver ex;
+  MckpWorkspace workspace;
+  MckpResult result;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<MckpClass> classes;
+    bool any_mandatory = false;
+    const int n_classes = static_cast<int>(rng.UniformInt(1, 4));
+    for (int k = 0; k < n_classes; ++k) {
+      MckpClass cls;
+      cls.mandatory = rng.Bernoulli(0.1);
+      any_mandatory = any_mandatory || cls.mandatory;
+      const int n_items = static_cast<int>(rng.UniformInt(1, 5));
+      for (int j = 0; j < n_items; ++j) {
+        const int64_t weight =
+            rng.Bernoulli(0.1) ? 0 : rng.UniformInt(50'000, 2'000'000);
+        cls.items.push_back(MckpItem{
+            weight, static_cast<double>(rng.UniformInt(0, 1000))});
+      }
+      classes.push_back(cls);
+    }
+    const int64_t capacity = rng.UniformInt(0, 4'000'000);
+    dp.Solve(classes, capacity, &workspace, &result);
+    const auto exact = ex.Solve(classes, capacity);
+    ASSERT_EQ(result.feasible, exact.feasible) << "trial " << trial;
+    ASSERT_EQ(result.total_value, exact.total_value) << "trial " << trial;
+    if (!exact.feasible) continue;
+    const auto best = static_cast<int64_t>(exact.total_value);
+    EXPECT_LE(workspace.band_lower, best) << "trial " << trial;
+    EXPECT_LE(best, workspace.band_upper) << "trial " << trial;
+    if (any_mandatory) {
+      EXPECT_EQ(workspace.band_lower, 0) << "trial " << trial;
+      continue;
+    }
+    // Every value a feasible selection reaches.
+    std::set<int64_t> reached = {0};
+    std::vector<std::pair<int64_t, int64_t>> partial = {{0, 0}};
+    for (const auto& cls : classes) {
+      std::vector<std::pair<int64_t, int64_t>> grown = partial;
+      for (const auto& [weight, value] : partial) {
+        for (const auto& item : cls.items) {
+          if (weight + item.weight > capacity) continue;
+          grown.emplace_back(weight + item.weight,
+                             value + static_cast<int64_t>(item.value));
+        }
+      }
+      partial = std::move(grown);
+    }
+    for (const auto& entry : partial) reached.insert(entry.second);
+    EXPECT_TRUE(reached.count(workspace.band_lower))
+        << "trial " << trial << ": L = " << workspace.band_lower;
   }
 }
 

@@ -640,5 +640,265 @@ TEST(OrchestratorEquivalence, DpMatchesReferenceOnAllMandatoryFixShapes) {
   }
 }
 
+// ---- The value band: DpMckpSolver's LP bound U and greedy floor L ----
+
+// Capacities at which the band's greedy changes shape: the running weight
+// sums of every class's upper-hull steps over quantized values (the empty
+// choice included), taken in order of efficiency. Computed independently
+// of the solver, by gift wrapping each class.
+std::vector<int64_t> LpBreakpoints(const std::vector<MckpClass>& classes,
+                                   double value_quantum = 1.0,
+                                   int64_t max_cells = 1 << 16) {
+  struct Step {
+    int64_t weight;
+    int64_t value;
+  };
+  double value_sum = 0.0;
+  for (const auto& cls : classes) {
+    double best = 0.0;
+    for (const auto& item : cls.items) best = std::max(best, item.value);
+    value_sum += best;
+  }
+  double quantum = value_quantum;
+  if (value_sum / quantum > static_cast<double>(max_cells)) {
+    quantum = value_sum / static_cast<double>(max_cells);
+  }
+  // a->b is at least as efficient as a->c.
+  const auto steeper = [](const Step& a, const Step& b, const Step& c) {
+    return static_cast<__int128>(b.value - a.value) * (c.weight - a.weight) >=
+           static_cast<__int128>(c.value - a.value) * (b.weight - a.weight);
+  };
+  std::vector<Step> steps;
+  for (const auto& cls : classes) {
+    std::vector<Step> points;
+    Step at{0, 0};
+    for (const auto& item : cls.items) {
+      if (item.weight < 0 || item.value < 0) continue;
+      const auto vq = static_cast<int64_t>(item.value / quantum);
+      if (item.weight == 0) {
+        at.value = std::max(at.value, vq);
+      } else {
+        points.push_back(Step{item.weight, vq});
+      }
+    }
+    for (;;) {
+      const Step* next = nullptr;
+      for (const Step& p : points) {
+        if (p.weight <= at.weight || p.value <= at.value) continue;
+        if (next == nullptr || !steeper(at, *next, p) ||
+            (steeper(at, p, *next) && p.weight > next->weight)) {
+          next = &p;
+        }
+      }
+      if (next == nullptr) break;
+      steps.push_back(
+          Step{next->weight - at.weight, next->value - at.value});
+      at = *next;
+    }
+  }
+  std::stable_sort(steps.begin(), steps.end(),
+                   [](const Step& a, const Step& b) {
+                     return static_cast<__int128>(a.value) * b.weight >
+                            static_cast<__int128>(b.value) * a.weight;
+                   });
+  std::vector<int64_t> breakpoints;
+  int64_t sum = 0;
+  for (const Step& step : steps) {
+    sum += step.weight;
+    breakpoints.push_back(sum);
+  }
+  return breakpoints;
+}
+
+// ExpectDpMatchesReference at, one below and one above every LP breakpoint
+// of `classes`, plus capacity 0.
+void ExpectDpMatchesReferenceAtBreakpoints(
+    const DpMckpSolver& dp, const reference::RefDpSolver& ref,
+    const std::vector<MckpClass>& classes, MckpWorkspace* workspace,
+    MckpResult* result, double value_quantum = 1.0,
+    int64_t max_cells = 1 << 16) {
+  std::vector<int64_t> capacities = {0};
+  for (const int64_t b : LpBreakpoints(classes, value_quantum, max_cells)) {
+    capacities.insert(capacities.end(), {b - 1, b, b + 1});
+  }
+  for (const int64_t capacity : capacities) {
+    SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+    ExpectDpMatchesReference(dp, ref, classes, capacity, workspace, result);
+  }
+}
+
+// `n_classes` optional classes of 1-`max_items` items: integral or
+// fractional values up to `max_value`, weights in [min_weight, max_weight].
+std::vector<MckpClass> RandomClasses(Rng& rng, int n_classes, int max_items,
+                                     double max_value, int64_t min_weight,
+                                     int64_t max_weight) {
+  std::vector<MckpClass> classes(static_cast<size_t>(n_classes));
+  for (auto& cls : classes) {
+    const int n_items = static_cast<int>(rng.UniformInt(1, max_items));
+    for (int j = 0; j < n_items; ++j) {
+      double value = rng.Uniform(0, max_value);
+      if (rng.Bernoulli(0.5)) value = std::floor(value);
+      cls.items.push_back(
+          MckpItem{rng.UniformInt(min_weight, max_weight), value});
+    }
+  }
+  return classes;
+}
+
+// At an LP breakpoint the greedy takes whole steps only, so L == U and the
+// band is at its narrowest; one bit either side the fractional step opens
+// it again.
+TEST(OrchestratorEquivalence, BandMatchesReferenceAtLpBreakpoints) {
+  Rng rng(101);
+  const DpMckpSolver dp;
+  const reference::RefDpSolver ref;
+  MckpWorkspace workspace;
+  MckpResult result;
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const auto classes =
+        RandomClasses(rng, static_cast<int>(rng.UniformInt(1, 7)), 8, 1500,
+                      1'000, 2'000'000);
+    ExpectDpMatchesReferenceAtBreakpoints(dp, ref, classes, &workspace,
+                                          &result);
+  }
+}
+
+// Weight-0 items lift a class's hull at weight 0 (into both L and U) and
+// must never be mistaken for a step.
+TEST(OrchestratorEquivalence, BandMatchesReferenceWithZeroWeightItems) {
+  Rng rng(102);
+  const DpMckpSolver dp;
+  const reference::RefDpSolver ref;
+  MckpWorkspace workspace;
+  MckpResult result;
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    auto classes = RandomClasses(rng, static_cast<int>(rng.UniformInt(1, 6)),
+                                 6, 1200, 1'000, 1'500'000);
+    for (auto& cls : classes) {
+      for (auto& item : cls.items) {
+        if (rng.Bernoulli(0.3)) item.weight = 0;
+      }
+      if (rng.Bernoulli(0.3)) cls.items.push_back(MckpItem{0, 0.0});
+    }
+    ExpectDpMatchesReferenceAtBreakpoints(dp, ref, classes, &workspace,
+                                          &result);
+  }
+}
+
+// Steps of equal efficiency in several classes, and identical classes: the
+// greedy's order among them is arbitrary, and no order may move the result.
+TEST(OrchestratorEquivalence, BandMatchesReferenceOnEqualEfficiencySteps) {
+  Rng rng(103);
+  const DpMckpSolver dp;
+  const reference::RefDpSolver ref;
+  MckpWorkspace workspace;
+  MckpResult result;
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    // Every item lies on one of two lines through the origin.
+    const int64_t unit = rng.UniformInt(1'000, 50'000);
+    std::vector<MckpClass> classes(static_cast<size_t>(rng.UniformInt(2, 6)));
+    for (auto& cls : classes) {
+      const int n_items = static_cast<int>(rng.UniformInt(1, 5));
+      for (int j = 0; j < n_items; ++j) {
+        const int64_t units = rng.UniformInt(1, 40);
+        const double slope = rng.Bernoulli(0.5) ? 3.0 : 7.0;
+        cls.items.push_back(MckpItem{units * unit,
+                                     slope * static_cast<double>(units)});
+      }
+    }
+    classes.push_back(classes.front());
+    classes.push_back(classes.front());
+    ExpectDpMatchesReferenceAtBreakpoints(dp, ref, classes, &workspace,
+                                          &result);
+  }
+}
+
+// An infinite downlink (INT64_MAX / 4) with weights that need int64_t cells:
+// the greedy takes every step, and the fractional product needs __int128.
+TEST(OrchestratorEquivalence, BandMatchesReferenceOnInfiniteDownlink) {
+  constexpr int64_t kSwitch = int64_t{1} << 30;
+  const int64_t kInfiniteDownlink = std::numeric_limits<int64_t>::max() / 4;
+  Rng rng(104);
+  const DpMckpSolver dp;
+  const reference::RefDpSolver ref;
+  MckpWorkspace workspace;
+  MckpResult result;
+  for (int trial = 0; trial < 30; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    auto classes = RandomClasses(rng, static_cast<int>(rng.UniformInt(2, 6)),
+                                 6, 1500, kSwitch / 4, 4 * kSwitch);
+    if (rng.Bernoulli(0.5)) {
+      classes.back().items.push_back(
+          MckpItem{kInfiniteDownlink / 2, rng.Uniform(0, 3000)});
+    }
+    ExpectDpMatchesReference(dp, ref, classes, kInfiniteDownlink, &workspace,
+                             &result);
+    ExpectDpMatchesReferenceAtBreakpoints(dp, ref, classes, &workspace,
+                                          &result);
+  }
+}
+
+// The max_cells rescale: the band is cut from the rescaled grid.
+TEST(OrchestratorEquivalence, BandMatchesReferenceUnderMaxCellsRescale) {
+  Rng rng(105);
+  for (const int64_t max_cells : {8, 24, 200}) {
+    const DpMckpSolver dp(1.0, max_cells);
+    const reference::RefDpSolver ref(1.0, max_cells);
+    MckpWorkspace workspace;
+    MckpResult result;
+    for (int trial = 0; trial < 30; ++trial) {
+      SCOPED_TRACE(testing::Message()
+                   << "max_cells " << max_cells << ", trial " << trial);
+      const auto classes =
+          RandomClasses(rng, static_cast<int>(rng.UniformInt(1, 6)), 6, 2000,
+                        10'000, 2'000'000);
+      ExpectDpMatchesReferenceAtBreakpoints(dp, ref, classes, &workspace,
+                                            &result, 1.0, max_cells);
+    }
+  }
+}
+
+// One class worth far more than the rest: its hull steps come first, and
+// the floor lo_k of every class before it stays at 0.
+TEST(OrchestratorEquivalence, BandMatchesReferenceWithOneDominantClass) {
+  Rng rng(106);
+  const DpMckpSolver dp;
+  const reference::RefDpSolver ref;
+  MckpWorkspace workspace;
+  MckpResult result;
+  for (int trial = 0; trial < 30; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    auto classes = RandomClasses(rng, static_cast<int>(rng.UniformInt(6, 14)),
+                                 5, 40, 10'000, 600'000);
+    const auto dominant = RandomClasses(rng, 1, 8, 20000, 100'000, 3'000'000);
+    const auto at = static_cast<ptrdiff_t>(
+        rng.UniformInt(0, static_cast<int64_t>(classes.size())));
+    classes.insert(classes.begin() + at, dominant.front());
+    ExpectDpMatchesReferenceAtBreakpoints(dp, ref, classes, &workspace,
+                                          &result);
+  }
+}
+
+// Mandatory classes set L = 0, so the band has no floor; their hull steps
+// still bound the top of the grid.
+TEST(OrchestratorEquivalence, BandMatchesReferenceOnMandatoryMixes) {
+  Rng rng(107);
+  const DpMckpSolver dp;
+  const reference::RefDpSolver ref;
+  MckpWorkspace workspace;
+  MckpResult result;
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    auto classes = RandomClasses(rng, static_cast<int>(rng.UniformInt(1, 6)),
+                                 6, 1500, 1'000, 1'500'000);
+    for (auto& cls : classes) cls.mandatory = rng.Bernoulli(0.4);
+    ExpectDpMatchesReferenceAtBreakpoints(dp, ref, classes, &workspace,
+                                          &result);
+  }
+}
+
 }  // namespace
 }  // namespace gso::core

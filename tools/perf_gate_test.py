@@ -111,11 +111,37 @@ class PerfGateTest(unittest.TestCase):
         self.assertFailsAt(self.gate(base, current),
                            "fleet_failover_64x8 recovery_p99_us")
 
-    def test_best_of_keeps_the_better_wall_draw(self):
+    def test_best_of_passes_a_row_that_passes_the_second_draw(self):
         base = baseline("controller")
         slow = edit(run_of(base), lambda v: v * 1.3, "mesh_16",
                     "wall_ns_per_solve")
         self.assertPasses(self.gate(base, slow, best_of=run_of(base)))
+        # Slow in both draws: a regression, not noise.
+        self.assertFailsAt(self.gate(base, slow, best_of=slow),
+                           "mesh_16 wall_ns_per_solve")
+
+    def test_best_of_judges_each_draw_by_its_own_host_factor(self):
+        # The first draw flags one row. In the second, most rows draw
+        # faster (host factor ~0.76) and the flagged row passes; two rows
+        # that drew x1.09 both times pass the first draw. Mixing the
+        # draws' better values into one would take the fast rows' median
+        # as host factor and flag those two and every unchanged row.
+        base = baseline("controller")
+        names = [row["name"] for row in walls(base)
+                 if row["metric"] == "wall_ns_per_solve"]
+        flagged, steady, fast = names[0], names[1:3], names[3:9]
+        first = edit(run_of(base), lambda v: v * 1.3, flagged,
+                     "wall_ns_per_solve")
+        second = edit(run_of(base), lambda v: v * 0.8, flagged,
+                      "wall_ns_per_solve")
+        for name in steady:
+            for draw in (first, second):
+                edit(draw, lambda v: v * 1.09, name, "wall_ns_per_solve")
+        for name in fast:
+            edit(second, lambda v: v * 0.76, name, "wall_ns_per_solve")
+        self.assertFailsAt(self.gate(base, first),
+                           f"{flagged} wall_ns_per_solve")
+        self.assertPasses(self.gate(base, first, best_of=second))
 
     def test_changed_digest_fails(self):
         base = baseline("fleet")
