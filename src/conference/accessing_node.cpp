@@ -191,28 +191,27 @@ const std::vector<ClientId>& AccessingNode::SubscribersOf(Ssrc ssrc) {
       }
     }
     // Failure fallback: also deliver to subscribers whose instructed layer
-    // of the same source has gone stale (paper §7).
-    const auto info = directory_->Lookup(ssrc);
-    if (info) {
+    // of the same source has gone stale (paper §7). Substitute only from a
+    // lower resolution (safe for downlinks).
+    if (fallbacks_stale_ ||
+        fallbacks_generation_ != directory_->generation()) {
+      ResolveFallbacks();
+    }
+    const auto range = std::lower_bound(
+        fallback_index_.begin(), fallback_index_.end(), ssrc,
+        [](const FallbackRange& r, Ssrc key) { return r.ssrc < key; });
+    if (range != fallback_index_.end() && range->ssrc == ssrc) {
       const Timestamp now = loop_->Now();
-      for (const auto& [other_ssrc, subs] : forwarding_) {
-        if (other_ssrc == ssrc) continue;
-        const auto other = directory_->Lookup(other_ssrc);
-        if (!other || other->owner != info->owner ||
-            other->source != info->source) {
-          continue;
-        }
-        const auto state = uplink_streams_.find(other_ssrc);
+      for (uint32_t i = range->begin; i < range->end; ++i) {
+        const FallbackCandidate& other = fallback_candidates_[i];
+        const auto state = uplink_streams_.find(other.ssrc);
         const bool stale =
             state == uplink_streams_.end() ||
             now - state->second.last_packet > kStaleLayerTimeout;
         if (!stale) continue;
-        // Substitute only from a lower resolution (safe for downlinks).
-        if (info->resolution < other->resolution) {
-          for (ClientId s : subs) {
-            if (std::find(out.begin(), out.end(), s) == out.end()) {
-              out.push_back(s);
-            }
+        for (ClientId s : *other.subscribers) {
+          if (std::find(out.begin(), out.end(), s) == out.end()) {
+            out.push_back(s);
           }
         }
       }
@@ -229,6 +228,39 @@ const std::vector<ClientId>& AccessingNode::SubscribersOf(Ssrc ssrc) {
     }
   }
   return out;
+}
+
+void AccessingNode::ResolveFallbacks() {
+  forwarded_infos_.clear();
+  for (const auto& [ssrc, _] : forwarding_) {
+    if (const auto info = directory_->Lookup(ssrc)) {
+      forwarded_infos_.push_back(*info);
+    }
+  }
+  fallback_index_.clear();
+  fallback_candidates_.clear();
+  // Every directory stream, forwarded or not, may be the lower layer that
+  // stands in for a stale one.
+  directory_->ForEach([this](const StreamInfo& info) {
+    const auto begin = static_cast<uint32_t>(fallback_candidates_.size());
+    for (const StreamInfo& other : forwarded_infos_) {
+      if (other.ssrc == info.ssrc || other.owner != info.owner ||
+          other.source != info.source ||
+          !(info.resolution < other.resolution)) {
+        continue;
+      }
+      fallback_candidates_.push_back(
+          FallbackCandidate{other.ssrc, &forwarding_.at(other.ssrc)});
+    }
+    const auto end = static_cast<uint32_t>(fallback_candidates_.size());
+    if (end > begin) fallback_index_.push_back({info.ssrc, begin, end});
+  });
+  std::sort(fallback_index_.begin(), fallback_index_.end(),
+            [](const FallbackRange& a, const FallbackRange& b) {
+              return a.ssrc < b.ssrc;
+            });
+  fallbacks_stale_ = false;
+  fallbacks_generation_ = directory_->generation();
 }
 
 void AccessingNode::ForwardToSubscriber(const net::RtpPacket& packet,
@@ -591,6 +623,7 @@ void AccessingNode::SetForwarding(
     }
   }
   forwarding_ = std::move(table);
+  fallbacks_stale_ = true;
 }
 
 void AccessingNode::SendGsoTmmbr(ClientId publisher,
@@ -623,6 +656,7 @@ void AccessingNode::OnClientLeft(ClientId client,
   for (auto& [_, subs] : forwarding_) {
     subs.erase(std::remove(subs.begin(), subs.end(), client), subs.end());
   }
+  fallbacks_stale_ = true;
   for (auto it = pending_switches_.begin(); it != pending_switches_.end();) {
     const bool dead_subscriber = it->first.second == client;
     const bool dead_stream =
@@ -665,6 +699,7 @@ void AccessingNode::Crash() {
   // comes back before the controller declares it dead resumes serving the
   // same clients once a fresh forwarding table arrives.
   forwarding_.clear();
+  fallbacks_stale_ = true;
   pending_switches_.clear();
   uplink_streams_.clear();
   forward_cache_.Clear();

@@ -184,6 +184,9 @@ class AccessingNode : public sim::CrashableProcess {
   // Who receives `ssrc`, written into resolved_subscribers_: valid until
   // the next call.
   const std::vector<ClientId>& SubscribersOf(Ssrc ssrc);
+  // Resolves every directory stream's stale-layer fallback candidates
+  // against the current forwarding table (see fallback_index_).
+  void ResolveFallbacks();
   void ReportDownlink(ClientId client, bool force);
   // Sender SSRC of this node's own RTCP (feedback, NACK, PLI, GTBR).
   // SSRCs outside the directory are reserved per sender: client probe
@@ -209,6 +212,26 @@ class AccessingNode : public sim::CrashableProcess {
   std::map<std::pair<Ssrc, ClientId>, Ssrc> pending_switches_;
   std::map<Ssrc, UplinkStreamState> uplink_streams_;
   std::vector<ClientId> resolved_subscribers_;  // see SubscribersOf
+  // Stale-layer fallback (paper §7), resolved once per forwarding table
+  // and directory generation: for a stream S, the forwarded SSRCs of the
+  // same owner and source with a higher resolution than S, in SSRC order,
+  // each with its subscriber list in forwarding_. Per packet only their
+  // staleness is checked. Streams without candidates have no entry.
+  struct FallbackCandidate {
+    Ssrc ssrc;
+    const std::vector<ClientId>* subscribers;  // into forwarding_
+  };
+  struct FallbackRange {
+    Ssrc ssrc;
+    uint32_t begin;  // [begin, end) in fallback_candidates_
+    uint32_t end;
+  };
+  std::vector<FallbackRange> fallback_index_;  // sorted by ssrc
+  std::vector<FallbackCandidate> fallback_candidates_;
+  std::vector<StreamInfo> forwarded_infos_;  // reused by ResolveFallbacks
+  // Set whenever forwarding_ changes; the index then resolves again.
+  bool fallbacks_stale_ = true;
+  uint64_t fallbacks_generation_ = 0;  // directory generation resolved at
   media::RtxCache forward_cache_;
   baseline::SfuLayerSelector selector_;
   int gtbr_retransmissions_ = 0;

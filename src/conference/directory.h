@@ -9,6 +9,7 @@
 #define GSO_CONFERENCE_DIRECTORY_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -32,8 +33,24 @@ struct StreamInfo {
 
 class StreamDirectory {
  public:
-  void Register(const StreamInfo& info) { streams_[info.ssrc] = info; }
-  void Unregister(Ssrc ssrc) { streams_.erase(ssrc); }
+  void Register(const StreamInfo& info) {
+    streams_[info.ssrc] = info;
+    ++generation_;
+  }
+  void Unregister(Ssrc ssrc) {
+    streams_.erase(ssrc);
+    ++generation_;
+  }
+
+  // Bumped by every Register/Unregister, so readers that derive state from
+  // the directory can tell when to derive it again.
+  uint64_t generation() const { return generation_; }
+
+  // Calls `fn(info)` for every registered stream, in no particular order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const auto& [_, info] : streams_) fn(info);
+  }
 
   std::optional<StreamInfo> Lookup(Ssrc ssrc) const {
     const auto it = streams_.find(ssrc);
@@ -59,6 +76,7 @@ class StreamDirectory {
 
  private:
   std::unordered_map<Ssrc, StreamInfo> streams_;
+  uint64_t generation_ = 0;
 };
 
 }  // namespace gso::conference

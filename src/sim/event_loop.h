@@ -5,6 +5,14 @@
 // order (FIFO among equal timestamps). Nothing in the library reads wall
 // clock — a 105-day fleet simulation runs in seconds.
 //
+// Storage: tasks and their owners wait in a slab of slots with a free list;
+// the heap sifts only 24-byte {when, seq, slot} keys, ordered by (when,
+// seq). A slot is freed before its task runs, so the task may schedule
+// into it. A periodic task (Every) keeps its slot and its period: after it
+// returns true, and while its owner is not cancelled, the same slot is
+// pushed again at Now() + period with the next seq — the instant and the
+// seq a fresh Every() call from inside the task would take.
+//
 // Ownership / cancellation: when many independent components (e.g. the
 // orchestration service's hosted conferences) share one loop, a component
 // must be destroyable mid-run even though its closures are still queued.
@@ -84,14 +92,15 @@ class EventLoop {
   }
 
   // Reclaims cancelled-owner bookkeeping: drops every queued task of a
-  // cancelled owner from the heap (they would be skipped at pop anyway) and
-  // recycles the owner ids through NewOwner(). Only call when every
-  // cancelled owner's component is already destroyed — nothing may schedule
-  // under those ids again — and never from inside a running task. Pop order
-  // is unaffected: (when, seq) keys are unique, so rebuilding the heap
-  // cannot reorder surviving events. Long-lived multi-tenant loops (service
-  // shards) call this periodically so hours of conference churn leave
-  // neither skipped heap entries nor an ever-growing cancelled bitmap.
+  // cancelled owner from the heap (they would be skipped at pop anyway),
+  // frees their slots and recycles the owner ids through NewOwner(). Only
+  // call when every cancelled owner's component is already destroyed —
+  // nothing may schedule under those ids again — and never from inside a
+  // running task. Pop order is unaffected: (when, seq) keys are unique, so
+  // rebuilding the heap cannot reorder surviving events. Long-lived
+  // multi-tenant loops (service shards) call this periodically so hours of
+  // conference churn leave neither skipped heap entries nor an
+  // ever-growing cancelled bitmap.
   void PurgeCancelled() {
     bool any = false;
     for (uint64_t owner = 1; owner < cancelled_.size(); ++owner) {
@@ -101,9 +110,12 @@ class EventLoop {
       }
     }
     if (!any) return;
-    std::erase_if(queue_,
-                  [this](const Event& ev) { return IsCancelled(ev.owner); });
-    std::make_heap(queue_.begin(), queue_.end(), Event::Later{});
+    std::erase_if(queue_, [this](const Key& key) {
+      if (!IsCancelled(slots_[key.slot].owner)) return false;
+      Free(key.slot);
+      return true;
+    });
+    std::make_heap(queue_.begin(), queue_.end(), Key::Later{});
     for (uint64_t owner = 1; owner < cancelled_.size(); ++owner) {
       if (cancelled_[owner] != 0) {
         cancelled_[owner] = 0;
@@ -119,9 +131,9 @@ class EventLoop {
   // the current owner is cancelled.
   bool At(Timestamp when, Task task) {
     if (IsCancelled(current_owner_)) return false;
-    if (when < now_) when = now_;
-    queue_.push_back(Event{when, next_seq_++, current_owner_, std::move(task)});
-    std::push_heap(queue_.begin(), queue_.end(), Event::Later{});
+    const uint32_t slot = Claim();
+    slots_[slot].task = std::move(task);
+    Push(when, slot);
     return true;
   }
 
@@ -131,9 +143,11 @@ class EventLoop {
   // Schedules `task` every `period`, first firing at Now() + period, until
   // the task returns false or the loop ends.
   void Every(TimeDelta period, std::function<bool()> task) {
-    After(period, [this, period, task = std::move(task)]() mutable {
-      if (task()) Every(period, std::move(task));
-    });
+    if (IsCancelled(current_owner_)) return;
+    const uint32_t slot = Claim();
+    slots_[slot].repeat = std::move(task);
+    slots_[slot].period = period;
+    Push(now_ + period, slot);
   }
 
   // Runs events until the queue is empty or virtual time would pass `until`.
@@ -142,17 +156,26 @@ class EventLoop {
   void RunUntil(Timestamp until) {
     const uint64_t entry_owner = current_owner_;
     while (!queue_.empty() && queue_.front().when <= until) {
-      // pop_heap moves the minimum to the back, from where it can be moved
-      // out without const_cast (std::priority_queue::top() only exposes a
-      // const reference, which made moving the task out UB-adjacent).
-      std::pop_heap(queue_.begin(), queue_.end(), Event::Later{});
-      Event ev = std::move(queue_.back());
+      std::pop_heap(queue_.begin(), queue_.end(), Key::Later{});
+      const Key key = queue_.back();
       queue_.pop_back();
-      now_ = ev.when;
-      if (IsCancelled(ev.owner)) continue;
+      now_ = key.when;
+      Slot& slot = slots_[key.slot];
+      if (IsCancelled(slot.owner)) {
+        Free(key.slot);
+        continue;
+      }
       // Tasks scheduled from inside this task inherit its owner.
-      current_owner_ = ev.owner;
-      ev.task();
+      current_owner_ = slot.owner;
+      if (slot.repeat) {
+        RunPeriodic(key.slot);
+      } else {
+        // Moved out and freed first: the task may schedule into this slot,
+        // and scheduling may grow (move) the slab.
+        const Task task = std::move(slot.task);
+        Free(key.slot);
+        task();
+      }
       current_owner_ = entry_owner;
     }
     if (until.IsFinite() && until > now_) now_ = until;
@@ -168,21 +191,69 @@ class EventLoop {
   size_t pending_events() const { return queue_.size(); }
 
  private:
-  struct Event {
+  // Heap entry: the slot of one scheduled task.
+  struct Key {
     Timestamp when;
     uint64_t seq;  // breaks ties FIFO
-    uint64_t owner = 0;
-    Task task;
+    uint32_t slot;
 
     // Min-heap comparator: a sorts after b when it fires later (or was
     // scheduled later at the same instant).
     struct Later {
-      bool operator()(const Event& a, const Event& b) const {
+      bool operator()(const Key& a, const Key& b) const {
         if (a.when != b.when) return a.when > b.when;
         return a.seq > b.seq;
       }
     };
   };
+
+  // One scheduled task: `task` for At()/After(), `repeat` and `period` for
+  // Every(). A free slot holds neither.
+  struct Slot {
+    Task task;
+    std::function<bool()> repeat;
+    TimeDelta period;
+    uint64_t owner = 0;
+  };
+
+  // Takes a free slot for a task of the current owner.
+  uint32_t Claim() {
+    uint32_t slot;
+    if (free_slots_.empty()) {
+      slot = static_cast<uint32_t>(slots_.size());
+      slots_.emplace_back();
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    slots_[slot].owner = current_owner_;
+    return slot;
+  }
+
+  // Returns a slot to the free list, destroying whatever task it holds.
+  void Free(uint32_t slot) {
+    slots_[slot].task = nullptr;
+    slots_[slot].repeat = nullptr;
+    free_slots_.push_back(slot);
+  }
+
+  void Push(Timestamp when, uint32_t slot) {
+    if (when < now_) when = now_;
+    queue_.push_back(Key{when, next_seq_++, slot});
+    std::push_heap(queue_.begin(), queue_.end(), Key::Later{});
+  }
+
+  // Runs a periodic slot's task outside the slab (scheduling may move the
+  // slab), then re-arms the slot or frees it.
+  void RunPeriodic(uint32_t slot) {
+    std::function<bool()> repeat = std::move(slots_[slot].repeat);
+    if (repeat() && !IsCancelled(current_owner_)) {
+      slots_[slot].repeat = std::move(repeat);
+      Push(now_ + slots_[slot].period, slot);
+    } else {
+      Free(slot);
+    }
+  }
 
   Timestamp now_ = Timestamp::Zero();
   uint64_t next_seq_ = 0;
@@ -191,7 +262,9 @@ class EventLoop {
   std::vector<uint8_t> cancelled_;  // indexed by owner id
   std::vector<uint64_t> free_owners_;  // reclaimed by PurgeCancelled()
   // Explicit binary min-heap on (when, seq); front() is the next event.
-  std::vector<Event> queue_;
+  std::vector<Key> queue_;
+  std::vector<Slot> slots_;         // indexed by Key::slot
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace gso::sim

@@ -72,19 +72,27 @@ void Link::Send(Packet packet) {
   }
   last_delivery_ = delivery;
 
-  const uint64_t seq = next_seq_;
-  if (!loop_->At(delivery, [this, seq] { Deliver(seq); })) return;
-  ++next_seq_;
-  in_flight_.push_back(InFlight{delivery, seq, std::move(packet)});
-  std::push_heap(in_flight_.begin(), in_flight_.end(), InFlight::Later{});
+  // The slot is claimed only once the loop has accepted the delivery.
+  const uint32_t slot = free_slots_.empty()
+                            ? static_cast<uint32_t>(slots_.size())
+                            : free_slots_.back();
+  if (!loop_->At(delivery, [this, slot] { Deliver(slot); })) return;
+  if (slot == slots_.size()) {
+    slots_.emplace_back();
+  } else {
+    free_slots_.pop_back();
+  }
+  slots_[slot].packet = std::move(packet);
+  slots_[slot].live = true;
 }
 
-void Link::Deliver(uint64_t seq) {
-  GSO_CHECK(!in_flight_.empty() && in_flight_.front().seq == seq);
-  std::pop_heap(in_flight_.begin(), in_flight_.end(), InFlight::Later{});
-  // Moved out before the sink runs: the sink may send on this link again.
-  const Packet packet = std::move(in_flight_.back().packet);
-  in_flight_.pop_back();
+void Link::Deliver(uint32_t slot) {
+  GSO_CHECK(slot < slots_.size() && slots_[slot].live);
+  // Moved out and freed before the sink runs: the sink may send on this
+  // link again.
+  const Packet packet = std::move(slots_[slot].packet);
+  slots_[slot].live = false;
+  free_slots_.push_back(slot);
   ++stats_.packets_delivered;
   stats_.bytes_delivered += packet.wire_size;
   if (sink_) sink_(packet);

@@ -180,17 +180,13 @@ struct LinkStats {
   }
 };
 
-// In-flight packets live in the link itself, in a min-heap keyed on
-// (delivery time, per-link send sequence); each send schedules one event
-// whose closure captures only {this, seq} and pops the heap when it fires.
-// One link's events fire in (time, global seq) order and the per-link seq
-// rises with the global one, so the heap minimum is always the packet whose
-// event is firing. That holds as long as every delivery of one link shares
-// one owner's fate: a send dropped at scheduling time (cancelled owner)
-// never enters the heap, but cancelling an owner while its packets are in
-// flight on a link that other owners keep using strands them, and the next
-// delivery fails its sequence check. Components send on their own links
-// under their own owner, and cancel it only when they destroy those links.
+// In-flight packets wait in the link's own slab of slots (with a free
+// list); each send schedules one event whose closure captures only
+// {this, slot}, so it fits std::function's inline storage, and delivery
+// order is the event loop's (when, seq) order alone. A send the loop drops
+// at scheduling time (cancelled owner) claims no slot; a delivery whose
+// owner is cancelled while it is in flight never fires, and its packet
+// stays in its slot until the link dies.
 class Link {
  public:
   using Sink = std::function<void(const Packet&)>;
@@ -230,26 +226,12 @@ class Link {
   TimeDelta CurrentQueueDelay() const;
 
   // Packets sent and not yet delivered.
-  size_t in_flight() const { return in_flight_.size(); }
+  size_t in_flight() const { return slots_.size() - free_slots_.size(); }
 
  private:
-  struct InFlight {
-    Timestamp delivery;
-    uint64_t seq;
-    Packet packet;
-
-    // Min-heap comparator on (delivery, seq).
-    struct Later {
-      bool operator()(const InFlight& a, const InFlight& b) const {
-        if (a.delivery != b.delivery) return a.delivery > b.delivery;
-        return a.seq > b.seq;
-      }
-    };
-  };
-
   bool DrawLoss();
-  // Delivery event of the packet sent with per-link sequence `seq`.
-  void Deliver(uint64_t seq);
+  // Delivery event of the packet waiting in `slot`.
+  void Deliver(uint32_t slot);
 
   EventLoop* loop_;
   LinkConfig config_;
@@ -261,8 +243,13 @@ class Link {
   Timestamp last_delivery_ = Timestamp::Zero();
   bool ge_in_bad_state_ = false;
   bool up_ = true;
-  uint64_t next_seq_ = 0;
-  std::vector<InFlight> in_flight_;  // min-heap on (delivery, seq)
+  // In-flight packets by slot; `live` is false for the free ones.
+  struct Slot {
+    Packet packet;
+    bool live = false;
+  };
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace gso::sim

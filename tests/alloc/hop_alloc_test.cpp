@@ -1,4 +1,5 @@
-// Allocation discipline of one forwarding hop: after warm-up, carrying a
+// Allocation discipline of one forwarding hop: after warm-up, the event
+// loop's periodic tasks and owner churn, carrying a
 // packet across a link, sending RTP through an Egress, keeping sent-packet
 // history, caching packets for retransmission, logging arrivals for
 // transport feedback and assembling a frame's packets allocate nothing; an
@@ -33,9 +34,10 @@ int64_t CountAllocations(Fn&& fn) {
   return alloc::total_allocations() - before;
 }
 
-// Link::Send plus delivery: the delivery closure captures {link, seq} and
-// fits std::function's inline storage, and the in-flight heap and the
-// event queue reuse their capacity. Packets are built before counting.
+// Link::Send plus delivery: the delivery closure captures {link, slot} and
+// fits std::function's inline storage, and the link's slots and the event
+// loop's heap and slab reuse their capacity. Packets are built before
+// counting.
 TEST(HopAlloc, LinkSendAndDeliveryAllocateNothing) {
   if (!alloc::tracker_active()) {
     GTEST_SKIP() << "allocation counting is disabled under sanitizers";
@@ -65,6 +67,72 @@ TEST(HopAlloc, LinkSendAndDeliveryAllocateNothing) {
     }
   }
   EXPECT_EQ(delivered, 128);
+}
+
+// Periodic tasks re-arm their own slot: a period costs no allocation, even
+// for a task whose closure is too large for std::function's inline storage.
+TEST(HopAlloc, PeriodicTasksAllocateNothing) {
+  if (!alloc::tracker_active()) {
+    GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+  }
+  sim::EventLoop loop;
+  int64_t ticks = 0;
+  for (int i = 1; i <= 4; ++i) {
+    loop.Every(TimeDelta::Millis(i), [&ticks] {
+      ++ticks;
+      return true;
+    });
+  }
+  std::vector<int64_t> history(8, 0);
+  loop.Every(TimeDelta::Millis(3), [&ticks, &history, a = int64_t{1},
+                                    b = int64_t{2}, c = int64_t{3}] {
+    history[static_cast<size_t>(ticks % 8)] += a + b + c;
+    return true;
+  });
+  loop.RunUntil(Timestamp::Millis(100));
+  const int64_t warm = ticks;
+  EXPECT_EQ(CountAllocations([&] { loop.RunUntil(Timestamp::Seconds(10)); }),
+            0);
+  EXPECT_GT(ticks - warm, 10000);
+  EXPECT_EQ(loop.pending_events(), 5u);
+}
+
+// A shard's removal pattern: mint an owner, schedule its one-shot and
+// periodic tasks, run a while, cancel it and purge. Once the slab, the
+// heap and the owner tables have grown, a cycle allocates nothing.
+TEST(HopAlloc, OwnerChurnAllocatesNothingOnceWarm) {
+  if (!alloc::tracker_active()) {
+    GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+  }
+  sim::EventLoop loop;
+  int64_t runs = 0;
+  loop.Every(TimeDelta::Millis(7), [&runs] {  // an unowned neighbour
+    ++runs;
+    return true;
+  });
+  auto cycle = [&] {
+    uint64_t owners[3];
+    for (uint64_t& owner : owners) {
+      owner = loop.NewOwner();
+      const sim::EventLoop::OwnerScope scope(&loop, owner);
+      for (int k = 0; k < 20; ++k) {
+        loop.After(TimeDelta::Millis(k * 5), [&runs] { ++runs; });
+      }
+      loop.Every(TimeDelta::Millis(10), [&runs] {
+        ++runs;
+        return true;
+      });
+    }
+    loop.RunFor(TimeDelta::Millis(40));
+    for (const uint64_t owner : owners) loop.Cancel(owner);
+    loop.PurgeCancelled();
+  };
+  for (int round = 0; round < 3; ++round) cycle();
+  for (int round = 0; round < 50; ++round) {
+    EXPECT_EQ(CountAllocations(cycle), 0) << "round " << round;
+  }
+  EXPECT_EQ(loop.pending_events(), 1u);  // only the neighbour is left
+  EXPECT_GT(runs, 0);
 }
 
 // Steady sender: feedback answers each packet 60 sequences later, inside

@@ -68,5 +68,21 @@ TEST(Directory, ReRegisterUpdatesInPlace) {
   EXPECT_EQ(directory.Lookup(Ssrc(100))->resolution, kResolution360p);
 }
 
+// Readers that derive state from the directory (the accessing node's
+// fallback candidates) resolve again whenever the generation moves.
+TEST(Directory, EveryChangeBumpsTheGeneration) {
+  StreamDirectory directory;
+  const uint64_t start = directory.generation();
+  directory.Register(Video(100, 1, 0, kResolution720p));
+  EXPECT_EQ(directory.generation(), start + 1);
+  directory.Register(Video(100, 1, 0, kResolution360p));
+  EXPECT_EQ(directory.generation(), start + 2);
+  directory.Unregister(Ssrc(100));
+  EXPECT_EQ(directory.generation(), start + 3);
+  int streams = 0;
+  directory.ForEach([&streams](const StreamInfo&) { ++streams; });
+  EXPECT_EQ(streams, 0);
+}
+
 }  // namespace
 }  // namespace gso::conference

@@ -1,7 +1,7 @@
 // Tests for the simulated link: serialization timing, loss models,
 // droptail queueing, jitter, runtime reconfiguration, and the in-flight
-// heap (owner cancellation, its delivery check, and a differential test
-// against a frozen copy of the closure-per-packet link it replaced).
+// slots (owner cancellation, and a differential test against a frozen copy
+// of the closure-per-packet link they replaced).
 #include "sim/link.h"
 
 #include <gtest/gtest.h>
@@ -298,7 +298,7 @@ TEST(LinkConfigPresets, FactoryPresetsSetExpectedFields) {
 }
 
 // A send dropped at scheduling time (its owner is cancelled) must not
-// strand a packet in the in-flight heap: the next send still arrives.
+// claim an in-flight slot: the next send still arrives.
 TEST(Link, SendUnderCancelledOwnerLeavesNothingInFlight) {
   EventLoop loop;
   Link link(&loop, LinkConfig{}, Rng(10));
@@ -318,26 +318,35 @@ TEST(Link, SendUnderCancelledOwnerLeavesNothingInFlight) {
   EXPECT_EQ(link.in_flight(), 0u);
 }
 
-// Every delivery of one link must share one owner's fate. Cancelling an
-// owner while its packet is in flight, then sending under another owner,
-// breaks that rule: the second delivery finds the stranded packet at the
-// heap's top, and the sequence check stops the run.
-TEST(LinkDeathTest, DeliveryChecksTheInFlightSequence) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        EventLoop loop;
-        Link link(&loop, LinkConfig{}, Rng(11));
-        const uint64_t owner = loop.NewOwner();
-        {
-          const EventLoop::OwnerScope scope(&loop, owner);
-          link.Send(MakePacket(100));
-        }
-        loop.Cancel(owner);
-        link.Send(MakePacket(100));
-        loop.RunAll();
-      },
-      "GSO_CHECK failed");
+// A delivery whose owner is cancelled while it is in flight never fires:
+// its packet stays in its slot, and the link keeps carrying other owners'
+// packets. Only the stranded slot is lost until the link dies.
+TEST(Link, CancelledDeliveryStrandsOnlyItsSlot) {
+  EventLoop loop;
+  Link link(&loop, LinkConfig{}, Rng(11));
+  std::vector<uint8_t> received;
+  link.SetSink([&](const Packet& p) { received.push_back(p.data[0]); });
+  const uint64_t a = loop.NewOwner();
+  const uint64_t b = loop.NewOwner();
+  {
+    const EventLoop::OwnerScope scope(&loop, a);
+    link.Send(Packet{{1}, DataSize::Bytes(100), loop.Now()});
+  }
+  loop.Cancel(a);
+  {
+    const EventLoop::OwnerScope scope(&loop, b);
+    link.Send(Packet{{2}, DataSize::Bytes(100), loop.Now()});
+  }
+  EXPECT_EQ(link.in_flight(), 2u);
+  loop.RunAll();
+  EXPECT_EQ(received, (std::vector<uint8_t>{2}));
+  EXPECT_EQ(link.in_flight(), 1u);  // A's packet, stranded in its slot
+  // The freed slot is reused; the stranded one is not.
+  link.Send(Packet{{3}, DataSize::Bytes(100), loop.Now()});
+  EXPECT_EQ(link.in_flight(), 2u);
+  loop.RunAll();
+  EXPECT_EQ(received, (std::vector<uint8_t>{2, 3}));
+  EXPECT_EQ(link.in_flight(), 1u);
 }
 
 // --- Differential test against the closure-per-packet link ---------------
