@@ -302,7 +302,7 @@ bool RunKillSuite(const KillShape& shape, bool quick, KillResult* primary) {
   }
   if (r.recovery_p99_us <= 0 || r.recovery_p99_us > 5e6) {
     fail("recovery p99 " + std::to_string(r.recovery_p99_us) +
-         " us out of bounds (detection is gossip suspect_timeout + slices)");
+         " us out of bounds (detection is gossip suspicion + slices)");
   }
   if (r.qoe_floor < kQoeFloorMin) {
     fail("overall QoE floor " + std::to_string(r.qoe_floor) + " below " +

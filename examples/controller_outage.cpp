@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
   ok &= Check(!conference->control().reconstructing(),
               "reconstruction still pending 8 s after restart");
   ok &= Check(conference->control().last_reconstruction_latency() <=
-                  gso_config.controller.reconstruct_timeout,
+                  kReconstructTimeout,
               "reconstruction exceeded its deadline");
   ok &= Check(conference->control().resolves_after_restart() >= 1,
               "no re-solve after restart");
@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
               gso_fps, tpl_fps, 0.8 * tpl_fps);
   std::printf("  reconstruction      %.0f ms (budget %.0f ms)\n",
               conference->control().last_reconstruction_latency().seconds() * 1e3,
-              gso_config.controller.reconstruct_timeout.seconds() * 1e3);
+              kReconstructTimeout.seconds() * 1e3);
   std::printf("  resolves postcrash  %d\n",
               conference->control().resolves_after_restart());
   std::printf("  re-homed            %d participants (%d failovers)\n",

@@ -113,7 +113,7 @@ std::vector<LayerDecision> CoarseThreeLevel(DataRate uplink,
 
 std::vector<LayerDecision> TemplatePolicy::Decide(DataRate uplink_estimate,
                                                   int participant_count) const {
-  switch (config_.kind) {
+  switch (kind_) {
     case TemplateKind::kChimeLike:
       return ChimeLike(uplink_estimate, participant_count);
     case TemplateKind::kCoarseThreeLevel:

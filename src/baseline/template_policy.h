@@ -9,8 +9,8 @@
 // Three templates are provided:
 //  - kChimeLike     — the paper's reference behaviour (e.g. Amazon Chime's
 //    "360p at 600 kbps if uplink > 300 kbps, for < 6 participants").
-//  - kCompetitorA   — a conservative 2-level ladder with slow switching
-//    (stands in for the paper's "Competitor 1" in Fig. 8).
+//  - kCompetitorA   — a conservative 2-level ladder whose levels sit ~5x
+//    apart (stands in for the paper's "Competitor 1" in Fig. 8).
 //  - kCompetitorB   — an aggressive 3-level ladder driven by optimistic
 //    receiver-side estimation ("Competitor 2").
 #ifndef GSO_BASELINE_TEMPLATE_POLICY_H_
@@ -36,44 +36,33 @@ struct LayerDecision {
   DataRate bitrate;  // zero = layer disabled
 };
 
-struct TemplatePolicyConfig {
-  TemplateKind kind = TemplateKind::kChimeLike;
-  // Rules are re-evaluated at this period (templates are sluggish by
-  // design; CompetitorA uses a longer period).
-  TimeDelta update_period = TimeDelta::Seconds(1);
-};
-
 // Publisher-side template: maps (uplink estimate, participant count) to
-// per-layer fixed bitrates. Stateless; the sluggishness lives in how often
-// the caller re-evaluates (update_period) and in the coarse levels.
+// per-layer fixed bitrates. Stateless: every template is re-evaluated on
+// the client's 1 s policy tick, and its sluggishness lies in the coarse
+// levels alone.
 class TemplatePolicy {
  public:
-  explicit TemplatePolicy(TemplatePolicyConfig config = {})
-      : config_(config) {}
+  explicit TemplatePolicy(TemplateKind kind) : kind_(kind) {}
 
   std::vector<LayerDecision> Decide(DataRate uplink_estimate,
                                     int participant_count) const;
 
-  const TemplatePolicyConfig& config() const { return config_; }
-
  private:
-  TemplatePolicyConfig config_;
+  TemplateKind kind_;
 };
 
 // Receiver-side layer selection at the SFU (the "fragmented view" switch):
-// picks the largest advertised layer whose bitrate fits within
-// margin * downlink_estimate, with simple down-switch hysteresis.
+// picks the largest advertised layer whose bitrate fits within 90 % of the
+// downlink estimate. Stateless: it switches down as readily as up.
 class SfuLayerSelector {
  public:
-  explicit SfuLayerSelector(double margin = 0.9) : margin_(margin) {}
-
   // `layer_rates` are the currently active layer bitrates, largest first.
   // Returns the selected index, or -1 when nothing fits (stall).
   int Select(const std::vector<DataRate>& layer_rates,
              DataRate downlink_estimate) const {
     for (size_t i = 0; i < layer_rates.size(); ++i) {
       if (layer_rates[i].IsZero()) continue;
-      if (layer_rates[i] <= downlink_estimate * margin_) {
+      if (layer_rates[i] <= downlink_estimate * kMargin) {
         return static_cast<int>(i);
       }
     }
@@ -81,7 +70,7 @@ class SfuLayerSelector {
   }
 
  private:
-  double margin_;
+  static constexpr double kMargin = 0.9;
 };
 
 }  // namespace gso::baseline

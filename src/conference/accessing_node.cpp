@@ -16,6 +16,8 @@ constexpr int kGtbrMaxAttempts = 15;
 constexpr TimeDelta kStaleLayerTimeout = TimeDelta::Seconds(2);
 constexpr TimeDelta kDownlinkReportPeriod = TimeDelta::Millis(500);
 constexpr double kDownlinkReportEventThreshold = 0.10;
+// Each subscriber's downlink BWE starts here.
+constexpr DataRate kDownlinkStartRate = DataRate::KilobitsPerSec(500);
 // Audio is not orchestrated by GSO, but production SFUs still bound the
 // fan-out to the top-N active speakers; with no loudness signal in the
 // simulation the N lowest client ids are the deterministic proxy.
@@ -30,10 +32,9 @@ AccessingNode::AccessingNode(sim::EventLoop* loop, NodeId id,
 
 void AccessingNode::AttachClient(Client* client, sim::Link* downlink) {
   GSO_CHECK(client != nullptr && downlink != nullptr);
-  transport::BweConfig config;
-  config.start_rate = DataRate::KilobitsPerSec(500);
   clients_[client->id()] = std::make_unique<AttachedClient>(
-      loop_, client, downlink, config, Ssrc(0xF1000000u | id_.value()));
+      loop_, client, downlink, kDownlinkStartRate,
+      Ssrc(0xF1000000u | id_.value()));
 }
 
 void AccessingNode::ConnectPeer(AccessingNode* peer, sim::Link* link) {
@@ -369,7 +370,7 @@ void AccessingNode::OnRtcpTick() {
   const Ssrc node_ssrc = ControlSsrc();
 
   // Liveness signal to the controller (it declares this node dead after
-  // node_heartbeat_timeout of silence and re-homes our clients).
+  // kNodeHeartbeatTimeout of silence and re-homes our clients).
   if (control_) control_->OnNodeHeartbeat(id_);
 
   // Controller watchdog: in GSO mode, a forwarding-table drought longer

@@ -151,8 +151,8 @@ class AccessingNode : public sim::CrashableProcess {
     std::map<Ssrc, Timestamp> paused;  // ssrc -> pause expiry
 
     AttachedClient(sim::EventLoop* loop, Client* client, sim::Link* link,
-                   transport::BweConfig config, Ssrc padding_ssrc)
-        : client(client), downlink(loop, config, padding_ssrc, link) {}
+                   DataRate start_rate, Ssrc padding_ssrc)
+        : client(client), downlink(loop, start_rate, padding_ssrc, link) {}
   };
 
   struct UplinkStreamState {

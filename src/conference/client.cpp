@@ -31,6 +31,9 @@ int64_t PlaybackInterval(Timestamp t) {
   return t.us() / media::kPlaybackInterval.us();
 }
 
+// The uplink BWE and the pacer start here.
+constexpr DataRate kUplinkStartRate = DataRate::KilobitsPerSec(300);
+
 // Padding SSRCs live outside the directory so nodes do not forward them
 // (reserved ranges: see AccessingNode::ControlSsrc).
 Ssrc PaddingSsrc(ClientId id) { return Ssrc(0x80000000u | id.value()); }
@@ -41,11 +44,9 @@ Client::Client(sim::EventLoop* loop, ClientConfig config, Rng rng)
     : loop_(loop),
       config_(std::move(config)),
       rng_(rng),
-      pacer_(loop, config_.bwe.start_rate),
-      egress_(loop, config_.bwe, PaddingSsrc(config_.id)),
-      template_policy_(
-          baseline::TemplatePolicyConfig{config_.template_kind,
-                                         TimeDelta::Seconds(1)}) {
+      pacer_(loop, kUplinkStartRate),
+      egress_(loop, kUplinkStartRate, PaddingSsrc(config_.id)),
+      template_policy_(config_.template_kind) {
   camera_encoder_ = std::make_unique<media::SimulatedEncoder>(
       config_.camera, rng_.Fork());
   if (config_.screen) {

@@ -64,7 +64,6 @@ struct ClientConfig {
   // Audio-only participation: the camera encoder never runs (used by the
   // Fig. 9 "audio conferencing" scenario).
   bool video_muted = false;
-  transport::BweConfig bwe;
   // Bitrate levels per resolution advertised to the GSO controller.
   int gso_levels_per_resolution = 5;
   bool supports_fine_bitrate = true;

@@ -60,12 +60,12 @@ Conference::Conference(ConferenceConfig config)
   }
   control_->SetNodeFailureHandler(
       [this](NodeId dead) { HandleNodeFailure(dead); });
-  // Full-mesh inter-node links.
+  // Full-mesh inter-node links over a well-provisioned backbone.
   for (int i = 0; i < config_.num_accessing_nodes; ++i) {
     for (int j = 0; j < config_.num_accessing_nodes; ++j) {
       if (i == j) continue;
       auto link = std::make_unique<sim::Link>(
-          loop_, config_.inter_node_link, rng_.Fork(),
+          loop_, sim::LinkConfig::Backbone(), rng_.Fork(),
           "node" + std::to_string(i) + "->node" + std::to_string(j));
       AccessingNode* from = nodes_[static_cast<size_t>(i)].get();
       AccessingNode* to = nodes_[static_cast<size_t>(j)].get();

@@ -38,8 +38,6 @@ struct ConferenceConfig {
   ControllerConfig controller;
   // Bandwidth probing at clients and accessing nodes (ablation switch).
   bool enable_probing = true;
-  // Template for inter-node backbone links (well provisioned).
-  sim::LinkConfig inter_node_link = sim::LinkConfig::Backbone();
   // Optional observability sink. When set, the conference wires every
   // instrument site (transport, media, control planes) into this registry
   // and samples the polled series on the virtual clock every

@@ -5,6 +5,39 @@
 #include "common/logging.h"
 
 namespace gso::conference {
+namespace {
+
+// Event triggers never run a solve sooner than this after the previous one
+// (paper §6, Fig. 12); kMaxCallInterval bounds the gap from above.
+constexpr TimeDelta kMinCallInterval = TimeDelta::Seconds(1);
+constexpr TimeDelta kTickPeriod = TimeDelta::Millis(200);
+// Fraction of a conditioned bandwidth estimate the controller actually
+// allocates: a little headroom keeps the links from sitting exactly at
+// saturation, which would flap the delay-gradient detector.
+constexpr double kUtilization = 0.95;
+constexpr int kMaxSimulcastLayers = 3;
+// Speaker-first and screen-share subscription weights (paper §4.4).
+constexpr double kSpeakerPriority = 3.0;
+constexpr double kScreenPriority = 4.0;
+// GTBR reliability (paper §4.3 + §7 "Design for failure"). The accessing
+// node already retransmits an unacknowledged GTBR on its RTCP tick; this
+// layer sits above it: if the controller has seen no GTBN for a
+// publisher's current config after kGtbrAckTimeout, it re-issues the config
+// (fresh request id), up to kGtbrMaxRetries times, then declares the
+// publisher unreachable and schedules a re-orchestration instead of
+// stalling on a config nobody acked.
+constexpr TimeDelta kGtbrAckTimeout = TimeDelta::Seconds(1);
+constexpr int kGtbrMaxRetries = 5;
+// Bandwidth reports older than this are treated as absent when building a
+// problem: a report from before an outage says nothing about the link now,
+// and trusting it would size streams against a dead estimate.
+constexpr TimeDelta kReportMaxAge = TimeDelta::Seconds(10);
+// An accessing node homing members that has not heartbeated (RTCP tick,
+// 100 ms cadence) for this long is declared dead and its participants are
+// re-homed through the failure handler.
+constexpr TimeDelta kNodeHeartbeatTimeout = TimeDelta::Seconds(1);
+
+}  // namespace
 
 ConferenceNode::ConferenceNode(sim::EventLoop* loop, ControllerConfig config)
     : loop_(loop),
@@ -24,7 +57,7 @@ bool ConferenceNode::Join(Client* client, AccessingNode* node) {
   const auto reparsed = net::SessionDescription::Parse(offer.Serialize());
   if (!reparsed) return false;
   const auto negotiation =
-      net::NegotiateOffer(*reparsed, config_.max_simulcast_layers);
+      net::NegotiateOffer(*reparsed, kMaxSimulcastLayers);
   if (!negotiation.accepted) return false;
 
   Member member;
@@ -240,7 +273,7 @@ void ConferenceNode::MaybeFinishReconstruction() {
       break;
     }
   }
-  if (!complete && now - restarted_at_ < config_.reconstruct_timeout) return;
+  if (!complete && now - restarted_at_ < kReconstructTimeout) return;
   reconstructing_ = false;
   last_reconstruction_latency_ = now - restarted_at_;
   obs::Record(metric_reconstruct_latency_, now,
@@ -249,7 +282,7 @@ void ConferenceNode::MaybeFinishReconstruction() {
   // then event triggers stay muted while clients reclaim from degraded
   // mode (each reclaim fires report events that would otherwise each earn
   // a solve).
-  damping_until_ = now + config_.restart_damping;
+  damping_until_ = now + kRestartDamping;
   Orchestrate();
 }
 
@@ -271,7 +304,7 @@ void ConferenceNode::CheckNodeHealth() {
     const auto hb = node_heartbeats_.find(id);
     const Timestamp last_heard =
         hb != node_heartbeats_.end() ? hb->second : node_health_baseline_;
-    if (now - last_heard > config_.node_heartbeat_timeout) {
+    if (now - last_heard > kNodeHeartbeatTimeout) {
       if (failed_nodes_.insert(id).second) newly_failed.push_back(id);
     } else {
       // A heartbeat resumed: the node recovered on its own.
@@ -354,7 +387,7 @@ void ConferenceNode::Start() {
   GSO_CHECK(!started_);
   started_ = true;
   node_health_baseline_ = loop_->Now();
-  loop_->Every(config_.tick_period, [this] {
+  loop_->Every(kTickPeriod, [this] {
     Tick();
     return true;
   });
@@ -416,7 +449,7 @@ void ConferenceNode::CheckPendingConfigs() {
   const Timestamp now = loop_->Now();
   for (auto it = pending_configs_.begin(); it != pending_configs_.end();) {
     PendingConfig& pending = it->second;
-    if (now - pending.last_sent < config_.gtbr_ack_timeout) {
+    if (now - pending.last_sent < kGtbrAckTimeout) {
       ++it;
       continue;
     }
@@ -425,7 +458,7 @@ void ConferenceNode::CheckPendingConfigs() {
       it = pending_configs_.erase(it);
       continue;
     }
-    if (pending.retries >= config_.gtbr_max_retries) {
+    if (pending.retries >= kGtbrMaxRetries) {
       // Give up on this config and let the next orchestration produce a
       // fresh one from current reports, rather than retrying forever into
       // what is probably a dead control channel.
@@ -457,11 +490,11 @@ void ConferenceNode::Tick() {
   CheckNodeHealth();
   const Timestamp now = loop_->Now();
   const TimeDelta since_last = now - last_run_;
-  const bool time_trigger = !has_run_ || since_last >= config_.max_interval;
+  const bool time_trigger = !has_run_ || since_last >= kMaxCallInterval;
   // Post-restart damping mutes event triggers only: the time trigger still
-  // bounds staleness at max_interval.
+  // bounds staleness at kMaxCallInterval.
   const bool event_trigger = event_pending_ &&
-                             since_last >= config_.min_interval &&
+                             since_last >= kMinCallInterval &&
                              now >= damping_until_;
   if (!time_trigger && !event_trigger) return;
   Orchestrate();
@@ -562,15 +595,15 @@ core::OrchestrationProblem ConferenceNode::BuildProblem() {
     // incoming per other participant on the downlink (paper §7).
     core::ClientBudget budget;
     budget.client = client_id;
-    // A report that predates `report_max_age` is stale — likely from
+    // A report that predates kReportMaxAge is stale — likely from
     // before an outage — and is treated exactly like a missing report:
     // fall back to the conservative join-time defaults.
     const bool uplink_stale =
         !member.uplink_report.IsZero() &&
-        now - member.uplink_report_time > config_.report_max_age;
+        now - member.uplink_report_time > kReportMaxAge;
     const bool downlink_stale =
         !member.downlink_report.IsZero() &&
-        now - member.downlink_report_time > config_.report_max_age;
+        now - member.downlink_report_time > kReportMaxAge;
     if (uplink_stale || downlink_stale) {
       reports_aged_out_ += (uplink_stale ? 1 : 0) + (downlink_stale ? 1 : 0);
       obs::Add(metric_reports_aged_, now,
@@ -586,10 +619,10 @@ core::OrchestrationProblem ConferenceNode::BuildProblem() {
             : member.downlink_report;
     budget.uplink = conditioner_.Condition(
         static_cast<uint64_t>(client_id.value()) << 1,
-        uplink_raw * config_.utilization, 1);
+        uplink_raw * kUtilization, 1);
     budget.downlink = conditioner_.Condition(
         (static_cast<uint64_t>(client_id.value()) << 1) | 1,
-        downlink_raw * config_.utilization, std::max(n - 1, 0));
+        downlink_raw * kUtilization, std::max(n - 1, 0));
     problem.budgets.push_back(budget);
 
     // Codec capability constraints from the negotiated simulcastInfo.
@@ -612,10 +645,10 @@ core::OrchestrationProblem ConferenceNode::BuildProblem() {
       // Speaker-first and screen-share priorities (paper §4.4).
       if (speaker_ && sub.source.client == *speaker_ &&
           sub.source.kind == core::SourceKind::kCamera) {
-        sub.priority *= config_.speaker_priority;
+        sub.priority *= kSpeakerPriority;
       }
       if (sub.source.kind == core::SourceKind::kScreen) {
-        sub.priority *= config_.screen_priority;
+        sub.priority *= kScreenPriority;
       }
       problem.subscriptions.push_back(sub);
     }

@@ -5,10 +5,10 @@
 // (subscriptions, codec capabilities, uplink SEMB reports, downlink BWE
 // reports from accessing nodes, the current speaker), and periodically
 // runs the GSO control algorithm:
-//  - a time trigger guarantees a run at least every `max_interval` (3 s),
+//  - a time trigger guarantees a run at least every kMaxCallInterval (3 s),
 //  - an event trigger (significant bandwidth change, membership or
 //    subscription change, speaker change) runs it earlier, but never
-//    sooner than `min_interval` (1 s) after the previous run
+//    sooner than kMinCallInterval (1 s) after the previous run
 // (paper §6, Fig. 12: mean interval ~1.8 s, bounded to [1 s, 3 s]).
 //
 // Solutions are disseminated as per-publisher GTBR stream configurations
@@ -41,50 +41,30 @@
 
 namespace gso::conference {
 
+// The controller's cadence and recovery timing (paper §6 and §7) are
+// design constants; the ones a test or example reads are exported here,
+// the rest live in conference_node.cpp.
+//
+// Time trigger: a solve runs at least every kMaxCallInterval.
+inline constexpr TimeDelta kMaxCallInterval = TimeDelta::Seconds(3);
+// Crash recovery (paper §7 "Design for failure"): after Restart() the
+// controller holds off orchestrating until every member has delivered a
+// fresh uplink AND downlink report (reports predating the restart were
+// wiped with the rest of the volatile state), or until this deadline
+// passes, whichever comes first. Clients report on their 1 s policy tick
+// and nodes every 500 ms, so 2.5 s covers one full collection round plus
+// slack without stretching the outage.
+inline constexpr TimeDelta kReconstructTimeout = TimeDelta::MillisF(2500);
+// Re-solve damping after reconstruction: event triggers are suppressed for
+// this long (the kMaxCallInterval time trigger still fires), so the burst
+// of fresh reports and GTBN acks arriving as clients leave degraded mode
+// cannot fan out into a re-solve storm.
+inline constexpr TimeDelta kRestartDamping = TimeDelta::Seconds(5);
+
 struct ControllerConfig {
-  TimeDelta min_interval = TimeDelta::Seconds(1);
-  TimeDelta max_interval = TimeDelta::Seconds(3);
-  TimeDelta tick_period = TimeDelta::Millis(200);
   // Bandwidth report change that counts as an orchestration event.
   double event_threshold = 0.20;
   core::ConditionerConfig conditioner;
-  // Fraction of a conditioned bandwidth estimate the controller actually
-  // allocates: a little headroom keeps the links from sitting exactly at
-  // saturation, which would flap the delay-gradient detector.
-  double utilization = 0.95;
-  int max_simulcast_layers = 3;
-  double speaker_priority = 3.0;
-  double screen_priority = 4.0;
-  // --- GTBR reliability (paper §4.3 + §7 "Design for failure") -----------
-  // The accessing node already retransmits an unacknowledged GTBR on its
-  // RTCP tick; this layer sits above it: if the controller has seen no
-  // GTBN for a publisher's current config after `gtbr_ack_timeout`, it
-  // re-issues the config (fresh request id), up to `gtbr_max_retries`
-  // times, then declares the publisher unreachable and schedules a
-  // re-orchestration instead of stalling on a config nobody acked.
-  TimeDelta gtbr_ack_timeout = TimeDelta::Seconds(1);
-  int gtbr_max_retries = 5;
-  // Bandwidth reports older than this are treated as absent when building
-  // a problem: a report from before an outage says nothing about the link
-  // now, and trusting it would size streams against a dead estimate.
-  TimeDelta report_max_age = TimeDelta::Seconds(10);
-  // --- Crash recovery (paper §7 "Design for failure") ---------------------
-  // After Restart() the controller holds off orchestrating until every
-  // member has delivered a fresh uplink AND downlink report (reports
-  // predating the restart were wiped with the rest of the volatile state),
-  // or until this deadline passes — whichever comes first. Clients report
-  // on their 1 s policy tick and nodes every 500 ms, so 2.5 s covers one
-  // full collection round plus slack without stretching the outage.
-  TimeDelta reconstruct_timeout = TimeDelta::MillisF(2500);
-  // Re-solve damping after reconstruction: event triggers are suppressed
-  // for this long (the max_interval time trigger still fires), so the
-  // burst of fresh reports and GTBN acks arriving as clients leave
-  // degraded mode cannot fan out into a re-solve storm.
-  TimeDelta restart_damping = TimeDelta::Seconds(5);
-  // An accessing node homing members that has not heartbeated (RTCP tick,
-  // 100 ms cadence) for this long is declared dead and its participants
-  // are re-homed through the failure handler.
-  TimeDelta node_heartbeat_timeout = TimeDelta::Seconds(1);
   // SSRC allocation starts at this value when non-zero (the allocator's
   // own default otherwise). A conference rebuilt on another shard after a
   // shard crash seeds this past the old incarnation's recorded frontier,
@@ -170,7 +150,7 @@ class ConferenceNode : public sim::CrashableProcess {
   void Crash() override;
   // Revives the controller in `reconstructing` state: it re-collects
   // reports, bumps the solve epoch, and only orchestrates once the picture
-  // is complete (or reconstruct_timeout passes), with re-solve damping.
+  // is complete (or kReconstructTimeout passes), with re-solve damping.
   void Restart() override;
   bool alive() const override { return alive_; }
   std::string process_name() const override { return "controller"; }
@@ -242,8 +222,8 @@ class ConferenceNode : public sim::CrashableProcess {
     Ssrc audio_ssrc;
     DataRate uplink_report;
     DataRate downlink_report;
-    // When each report last arrived; reports older than
-    // `report_max_age` are treated as absent by BuildProblem.
+    // When each report last arrived; reports older than kReportMaxAge
+    // are treated as absent by BuildProblem.
     Timestamp uplink_report_time = Timestamp::Zero();
     Timestamp downlink_report_time = Timestamp::Zero();
   };
@@ -271,7 +251,7 @@ class ConferenceNode : public sim::CrashableProcess {
   // While `reconstructing_`: finish (and run the post-restart solve) once
   // every member has post-restart reports, or the deadline passes.
   void MaybeFinishReconstruction();
-  // Declares nodes dead after node_heartbeat_timeout of silence and fires
+  // Declares nodes dead after kNodeHeartbeatTimeout of silence and fires
   // the failure handler for each.
   void CheckNodeHealth();
 

@@ -23,10 +23,6 @@ struct ConditionerConfig {
   bool enable_hysteresis = true;
   // Per audio stream headroom subtracted from the budget.
   DataRate audio_protection_per_stream = DataRate::KilobitsPerSec(40);
-  // Never report less than this. Chosen above the smallest ladder option
-  // so even a badly impaired client keeps a thumbnail stream (matching
-  // the paper's behaviour of degrading, never blanking, video).
-  DataRate floor = DataRate::KilobitsPerSec(120);
 };
 
 class BandwidthConditioner {
@@ -40,7 +36,7 @@ class BandwidthConditioner {
   DataRate Condition(uint64_t key, DataRate estimate, int audio_streams) {
     DataRate budget =
         estimate - config_.audio_protection_per_stream * audio_streams;
-    budget = std::max(budget, config_.floor);
+    budget = std::max(budget, kFloor);
 
     if (!config_.enable_hysteresis) return budget;
 
@@ -69,6 +65,11 @@ class BandwidthConditioner {
   void Reset(uint64_t key) { state_.erase(key); }
 
  private:
+  // Never report less than this. Chosen above the smallest ladder option
+  // so even a badly impaired client keeps a thumbnail stream (matching
+  // the paper's behaviour of degrading, never blanking, video).
+  static constexpr DataRate kFloor = DataRate::KilobitsPerSec(120);
+
   struct State {
     bool initialized = false;
     bool downgraded = false;

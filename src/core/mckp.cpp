@@ -11,6 +11,9 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
+// Value grid step of the Step-1 DP, before any rescale to max_cells_.
+constexpr double kValueQuantum = 1.0;
+
 // "Unreachable" cell value per width. Finite cells never exceed cap_eff,
 // which stays below it, and kInfCell + cap_eff cannot overflow, so an
 // unreachable base always fails the capacity test.
@@ -294,7 +297,7 @@ void DpMckpSolver::Solve(std::span<const MckpClass> classes, int64_t capacity,
                                                   : weight_sum + heaviest;
   }
   const int64_t cap_eff = capacity < 0 ? -1 : weight_sum;
-  double quantum = value_quantum_;
+  double quantum = kValueQuantum;
   if (value_sum / quantum > static_cast<double>(max_cells_)) {
     quantum = value_sum / static_cast<double>(max_cells_);
   }

@@ -92,11 +92,12 @@ class MckpSolver {
 // achieving quantized value v (the classic FPTAS formulation). Weights stay
 // exact, so a returned solution never exceeds the capacity and knife-edge
 // fits are found; value quantization is the only source of sub-optimality
-// (loss <= #classes * value_quantum). Each class pass computes only the
-// value band described below, not the whole grid. The grid still grows
-// with the number of classes (publishers): measured with
-// bench/controller_scaling, a cold mesh_n solve (n subscribers, each with
-// n - 1 classes) grows as ~n^2.4 from mesh_8 to mesh_64, ~n^1.4 per
+// (loss <= #classes * quantum). The quantum is 1.0, rescaled to
+// value_sum / max_cells when the grid would exceed max_cells. Each class
+// pass computes only the value band described below, not the whole grid.
+// The grid still grows with the number of classes (publishers): measured
+// with bench/controller_scaling, a cold mesh_n solve (n subscribers, each
+// with n - 1 classes) grows as ~n^2.4 from mesh_8 to mesh_64, ~n^1.4 per
 // subscriber, and Fig. 6c's publisher doubling costs x2.5 (EXPERIMENTS.md).
 //
 // Before the DP, each class is reduced by dominance pruning: an item is
@@ -157,16 +158,13 @@ class MckpSolver {
 // recorded a choice for.
 class DpMckpSolver : public MckpSolver {
  public:
-  explicit DpMckpSolver(double value_quantum = 1.0,
-                        int64_t max_cells = 1 << 16)
-      : value_quantum_(value_quantum), max_cells_(max_cells) {}
+  explicit DpMckpSolver(int64_t max_cells = 1 << 16) : max_cells_(max_cells) {}
 
   using MckpSolver::Solve;
   void Solve(std::span<const MckpClass> classes, int64_t capacity,
              MckpWorkspace* workspace, MckpResult* result) const override;
 
  private:
-  double value_quantum_;
   int64_t max_cells_;
 };
 

@@ -7,6 +7,10 @@
 namespace gso::media {
 namespace {
 
+// Keyframes cost ~3x an average delta frame; the rate controller spreads
+// the debt over the following deltas.
+constexpr double kKeyframeSizeFactor = 3.0;
+
 // Abstract CPU cost of encoding one frame: dominated by per-pixel motion
 // search plus entropy-coding work proportional to output bits. Constants
 // are arbitrary units; only ratios matter for the Fig. 9 reproduction.
@@ -70,7 +74,7 @@ std::vector<EncodedFrame> SimulatedEncoder::EncodeTick(Timestamp now) {
         static_cast<double>(layer.target.bps()) / config_.framerate_fps;
     double frame_bits;
     if (keyframe) {
-      frame_bits = budget_bits * config_.keyframe_size_factor;
+      frame_bits = budget_bits * kKeyframeSizeFactor;
       layer.rate_debt_bits += frame_bits - budget_bits;
     } else {
       // Pay down keyframe debt over ~1 s of frames; jitter models content-

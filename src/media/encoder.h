@@ -37,9 +37,6 @@ struct EncoderConfig {
   // Conferencing encoders run long GOPs and rely on PLI for on-demand
   // keyframes; periodic keys exist only as a safety net (10 s at 25 fps).
   int keyframe_interval_frames = 250;
-  // Keyframes cost ~3x an average delta frame; the rate controller spreads
-  // the debt over the following deltas.
-  double keyframe_size_factor = 3.0;
 };
 
 class SimulatedEncoder {

@@ -7,6 +7,12 @@
 #include "service/fleet_model.h"
 
 namespace gso::service {
+namespace {
+
+// Churn decision cadence: retire / backfill / wave checks every step.
+constexpr TimeDelta kStep = TimeDelta::Seconds(1);
+
+}  // namespace
 
 ChurnStorm::ChurnStorm(OrchestrationService* service,
                        const ChurnConfig& config)
@@ -19,7 +25,7 @@ void ChurnStorm::RunFor(TimeDelta duration) {
   const Timestamp end = service_->Now() + duration;
   while (service_->Now() < end) {
     Step();
-    const TimeDelta step = std::min(config_.step, end - service_->Now());
+    const TimeDelta step = std::min(kStep, end - service_->Now());
     service_->RunFor(step);
   }
   Step();  // final retire pass so Report() sees conferences that just ended
@@ -52,7 +58,6 @@ void ChurnStorm::TopUp() {
   while (service_->conference_count() < config_.target_concurrent) {
     ConferenceSpec spec;
     spec.participants = DrawParticipants(rng_);
-    spec.gso = config_.gso_fraction >= 1.0 || rng_.Bernoulli(config_.gso_fraction);
     spec.seed = rng_.NextUint64();
     const TimeDelta lifetime =
         config_.mean_lifetime * rng_.Uniform(0.5, 1.5);

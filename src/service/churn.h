@@ -26,14 +26,10 @@ struct ChurnConfig {
   int target_concurrent = 50;
   // Conference lifetimes draw uniformly from [0.5, 1.5] * mean_lifetime.
   TimeDelta mean_lifetime = TimeDelta::Seconds(30);
-  // Churn decision cadence: retire / backfill / wave checks every step.
-  TimeDelta step = TimeDelta::Seconds(1);
   // Every wave_period, wave_fraction of the live fleet gets one fault
   // episode each (at least one victim per wave).
   TimeDelta wave_period = TimeDelta::Seconds(5);
   double wave_fraction = 0.05;
-  // Fraction of admitted conferences running GSO (vs template baseline).
-  double gso_fraction = 1.0;
   uint64_t seed = 7;
 };
 
@@ -52,8 +48,8 @@ class ChurnStorm {
   ChurnStorm(OrchestrationService* service, const ChurnConfig& config);
 
   // Advances the service by `duration`, interleaving churn decisions every
-  // config.step: retire expired conferences, top back up to the target,
-  // and inject a fault wave when one is due.
+  // virtual second: retire expired conferences, top back up to the target
+  // with GSO conferences, and inject a fault wave when one is due.
   void RunFor(TimeDelta duration);
 
   const ChurnStats& stats() const { return stats_; }

@@ -10,6 +10,16 @@
 namespace gso::service {
 namespace {
 
+// How often each agent broadcasts its load summary.
+constexpr TimeDelta kPeriod = TimeDelta::Millis(500);
+// First ack-wait; doubles per retransmit (exponential backoff).
+constexpr TimeDelta kAckTimeout = TimeDelta::Millis(120);
+// Retransmits after the initial send before the summary is abandoned
+// (counted as a timeout; the next periodic summary supersedes it anyway).
+constexpr int kMaxRetries = 3;
+// An agent that has heard nothing from a peer for this long suspects it.
+constexpr TimeDelta kSuspectTimeout = TimeDelta::Millis(1500);
+
 // Explicit little-endian wire format, independent of host byte order so
 // digests over gossip outcomes mean the same thing on every platform.
 constexpr uint8_t kTypeSummary = 1;
@@ -99,7 +109,7 @@ GossipFabric::GossipFabric(sim::EventLoop* loop, int num_shards,
 
 void GossipFabric::Start() {
   if (num_shards_ < 2) return;  // nothing to gossip with
-  loop_->Every(config_.period, [this] {
+  loop_->Every(kPeriod, [this] {
     for (int shard = 0; shard < num_shards_; ++shard) Broadcast(shard);
     return true;
   });
@@ -195,8 +205,8 @@ void GossipFabric::SendSummary(int from, int to,
 }
 
 void GossipFabric::ArmRetry(int from, int to, uint64_t seq, int attempt) {
-  // Exponential backoff: attempt k waits ack_timeout * 2^k.
-  const TimeDelta wait = config_.ack_timeout * (int64_t{1} << attempt);
+  // Exponential backoff: attempt k waits kAckTimeout * 2^k.
+  const TimeDelta wait = kAckTimeout * (int64_t{1} << attempt);
   loop_->After(wait, [this, from, to, seq, attempt] {
     Agent& agent = agents_[static_cast<size_t>(from)];
     if (!agent.alive) return;
@@ -204,7 +214,7 @@ void GossipFabric::ArmRetry(int from, int to, uint64_t seq, int attempt) {
     // Stale timer: the summary was acked, superseded, or already
     // retransmitted by a later timer.
     if (pending.seq != seq || pending.retries != attempt) return;
-    if (pending.retries >= config_.max_retries) {
+    if (pending.retries >= kMaxRetries) {
       ++stats_.timeouts;
       pending = Pending{};
       return;
@@ -219,11 +229,18 @@ void GossipFabric::HandlePacket(int from, int to,
                                 std::span<const uint8_t> data) {
   Agent& receiver = agents_[static_cast<size_t>(to)];
   if (!receiver.alive) return;  // dead shards drop ingress
-  if (data.empty()) return;
-  if (data[0] == kTypeSummary && data.size() == kSummaryBytes) {
-    const uint32_t sender = GetU32(&data[1]);
-    const uint64_t seq = GetU64(&data[5]);
-    GSO_CHECK(static_cast<int>(sender) == from);
+  // Every field is read from wire bytes: a packet whose size, type or
+  // sender field is wrong is dropped and counted, never trusted.
+  const bool summary = data.size() == kSummaryBytes && data[0] == kTypeSummary;
+  const bool ack = data.size() == kAckBytes && data[0] == kTypeAck;
+  if ((!summary && !ack) || GetU32(&data[1]) != static_cast<uint32_t>(from)) {
+    ++stats_.malformed;
+    GSO_LOG(kWarning) << "gossip: malformed packet (" << data.size()
+                      << " bytes) on link " << from << ">" << to;
+    return;
+  }
+  const uint64_t seq = GetU64(&data[5]);
+  if (summary) {
     ShardView& view = receiver.views[static_cast<size_t>(from)];
     ++stats_.delivered;
     // Out-of-order retransmits must not roll the view backwards.
@@ -242,18 +259,11 @@ void GossipFabric::HandlePacket(int from, int to,
                             EncodeAck(to, seq));
     return;
   }
-  if (data[0] == kTypeAck && data.size() == kAckBytes) {
-    const uint32_t acker = GetU32(&data[1]);
-    const uint64_t seq = GetU64(&data[5]);
-    GSO_CHECK(static_cast<int>(acker) == from);
-    ++stats_.acks_delivered;
-    Pending& pending = receiver.pending[static_cast<size_t>(from)];
-    // Acks for superseded summaries clear nothing; the pending (newer)
-    // summary still needs its own ack.
-    if (pending.seq != 0 && seq >= pending.seq) pending = Pending{};
-    return;
-  }
-  GSO_LOG(kWarning) << "gossip: malformed packet (" << data.size() << " bytes)";
+  ++stats_.acks_delivered;
+  Pending& pending = receiver.pending[static_cast<size_t>(from)];
+  // Acks for superseded summaries clear nothing; the pending (newer)
+  // summary still needs its own ack.
+  if (pending.seq != 0 && seq >= pending.seq) pending = Pending{};
 }
 
 void GossipFabric::RefreshSuspicion(int observer, int peer) {
@@ -262,7 +272,7 @@ void GossipFabric::RefreshSuspicion(int observer, int peer) {
   if (!agent.alive) return;
   ShardView& view = agent.views[static_cast<size_t>(peer)];
   if (view.suspected) return;
-  if (loop_->Now() - view.last_heard > config_.suspect_timeout) {
+  if (loop_->Now() - view.last_heard > kSuspectTimeout) {
     view.suspected = true;
     ++stats_.suspicions;
   }

@@ -8,7 +8,7 @@
 // latency) and sends a sequenced summary to every peer over a directed
 // sim::Link; receivers ack, and unacked summaries retransmit with
 // exponential backoff up to a bounded retry budget. A peer not heard from
-// for `suspect_timeout` becomes *suspected* — the failover path in the
+// for kSuspectTimeout (1.5 s) becomes *suspected* — the failover path in the
 // service treats a majority suspicion of a dead shard as the detection
 // signal, and the rebalancer steers load using the gossiped views rather
 // than ground truth, so both degrade gracefully (and deterministically)
@@ -41,15 +41,6 @@
 namespace gso::service {
 
 struct GossipConfig {
-  // How often each agent broadcasts its load summary.
-  TimeDelta period = TimeDelta::Millis(500);
-  // First ack-wait; doubles per retransmit (exponential backoff).
-  TimeDelta ack_timeout = TimeDelta::Millis(120);
-  // Retransmits after the initial send before the summary is abandoned
-  // (counted as a timeout; the next periodic summary supersedes it anyway).
-  int max_retries = 3;
-  // An agent that has heard nothing from a peer for this long suspects it.
-  TimeDelta suspect_timeout = TimeDelta::Millis(1500);
   // Control links: low-rate control traffic on a thin, fast path.
   sim::LinkConfig link = ControlLink();
   uint64_t seed = 1;
@@ -70,7 +61,7 @@ struct ShardView {
   uint32_t queue_depth = 0;
   double queue_p99_us = 0;
   // Fabric start counts as "heard": a peer silent since Start() becomes
-  // suspected only after suspect_timeout of virtual time has truly passed.
+  // suspected only after kSuspectTimeout of virtual time has truly passed.
   Timestamp last_heard = Timestamp::Zero();
   bool suspected = false;
 };
@@ -93,6 +84,9 @@ struct GossipStats {
   // fresher summary while still awaiting their ack.
   uint64_t timeouts = 0;
   uint64_t suspicions = 0;       // alive->suspected transitions observed
+  // Datagrams dropped unread: wrong size, unknown type, or a sender field
+  // that disagrees with the link they arrived on.
+  uint64_t malformed = 0;
 };
 
 // The full-mesh fabric. Owned by the service; all methods are main-thread,

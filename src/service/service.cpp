@@ -4,22 +4,24 @@
 #include <array>
 #include <thread>
 
+#include "common/fnv.h"
 #include "common/logging.h"
 
 namespace gso::service {
 namespace {
 
-// FNV-1a over raw bytes: combines the shards' running outcome digests
-// (each itself an FNV-1a fold, see OutcomeAggregate::Fold) in shard index
-// order into one fleet digest.
-uint64_t HashBytes(uint64_t h, const void* data, size_t size) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+// Virtual-time slice between solve-batch drains; also the granularity at
+// which metrics are sampled and control-plane events fire.
+constexpr TimeDelta kSlice = TimeDelta::Millis(200);
+// Cross-shard rebalancing moves at most this many conferences per pass,
+// then the source shard cools down (see ServiceConfig::rebalance_min_gap).
+constexpr int kRebalanceMaxMoves = 2;
+constexpr TimeDelta kRebalanceCooldown = TimeDelta::Seconds(5);
+// Safety margin added to a crashed conference's recorded SSRC frontier
+// when rebuilding: the record is up to one slice stale, so the margin must
+// exceed any single-slice allocation burst (a slice is 200 ms; even a full
+// re-home of an 8-member meeting allocates well under 100).
+constexpr uint32_t kSsrcFrontierSlack = 1024;
 
 }  // namespace
 
@@ -29,11 +31,7 @@ OrchestrationService::OrchestrationService(const ServiceConfig& config)
   GSO_CHECK(config_.max_conferences >= 1);
   GSO_CHECK_EQ(config_.solver_threads_per_shard, 1);
   for (int i = 0; i < config_.num_shards; ++i) {
-    ShardConfig shard_config;
-    shard_config.index = i;
-    shard_config.solve_backlog = config_.solve_backlog;
-    shard_config.large_meeting_threshold = config_.large_meeting_threshold;
-    shards_.push_back(std::make_unique<Shard>(shard_config));
+    shards_.push_back(std::make_unique<Shard>(i, config_.solve_backlog));
   }
   shard_alive_.assign(static_cast<size_t>(config_.num_shards), true);
   last_rebalance_.assign(static_cast<size_t>(config_.num_shards),
@@ -113,7 +111,7 @@ void OrchestrationService::Remove(uint64_t id) {
 void OrchestrationService::RunFor(TimeDelta duration) {
   const Timestamp end = now_ + duration;
   while (now_ < end) {
-    const TimeDelta step = std::min(config_.slice, end - now_);
+    const TimeDelta step = std::min(kSlice, end - now_);
     if (config_.parallel_shards && shards_.size() > 1) {
       std::vector<std::thread> threads;
       threads.reserve(shards_.size());
@@ -186,9 +184,9 @@ void OrchestrationService::ProcessFailovers() {
       // allocator provably starts past anything the lost incarnation
       // handed out — verified against the frozen object (ground truth the
       // service would not have in production, hence the slack).
-      GSO_CHECK(record.ssrc_frontier + config_.ssrc_frontier_slack >=
+      GSO_CHECK(record.ssrc_frontier + kSsrcFrontierSlack >=
                 dead.Get(id)->control().ssrc_allocator().next_value());
-      record.ssrc_frontier += config_.ssrc_frontier_slack;
+      record.ssrc_frontier += kSsrcFrontierSlack;
       ++record.generation;
       MigrateTo(id, target);
       ++failover_.conferences_rehomed;
@@ -207,8 +205,7 @@ void OrchestrationService::ProcessRebalance() {
   for (int i = 0; i < num_shards(); ++i) {
     Shard& source = *shards_[static_cast<size_t>(i)];
     if (!source.alive()) continue;
-    if (now_ - last_rebalance_[static_cast<size_t>(i)] <
-        config_.rebalance_cooldown) {
+    if (now_ - last_rebalance_[static_cast<size_t>(i)] < kRebalanceCooldown) {
       continue;
     }
     // Steer by the gossiped views, not ground truth: shard i only knows
@@ -229,7 +226,7 @@ void OrchestrationService::ProcessRebalance() {
     const int own = source.conference_count();
     const int gap = own - static_cast<int>(target_occupancy);
     if (gap < config_.rebalance_min_gap) continue;
-    const int moves = std::min(gap / 2, config_.rebalance_max_moves);
+    const int moves = std::min(gap / 2, kRebalanceMaxMoves);
     const std::vector<uint64_t> hosted = source.hosted_ids();
     int moved = 0;
     for (const uint64_t id : hosted) {
@@ -340,7 +337,9 @@ double OrchestrationService::degraded_qoe_floor() const {
 FleetReport OrchestrationService::Report() {
   FleetReport report;
   report.live = conference_count();
-  uint64_t digest = 1469598103934665603ull;  // FNV offset basis
+  // Combines the shards' running outcome digests (each an FNV-1a fold, see
+  // OutcomeAggregate::Fold) in shard index order into one fleet digest.
+  uint64_t digest = kDigestSeed;
   double satisfaction_sum = 0;
   double video_sum = 0;
   double voice_sum = 0;
@@ -398,7 +397,7 @@ void OrchestrationService::WireMetrics() {
   for (auto& shard_ptr : shards_) {
     Shard* shard = shard_ptr.get();
     const obs::Labels labels =
-        obs::LabelShard(static_cast<uint32_t>(shard->config().index));
+        obs::LabelShard(static_cast<uint32_t>(shard->index()));
     registry->AddProbe(
         registry->Get("service.shard.conferences", MetricKind::kGauge,
                       "conferences", labels),

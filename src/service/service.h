@@ -63,10 +63,6 @@ struct ServiceConfig {
   int max_conferences = 64;
   // Per-shard solve-queue backlog (see SolveQueue).
   int solve_backlog = 32;
-  int large_meeting_threshold = 6;
-  // Virtual-time slice between solve-batch drains; also the granularity
-  // at which metrics are sampled and control-plane events fire.
-  TimeDelta slice = TimeDelta::Millis(200);
   // Run shard slices on parallel threads. Off, the slices run sequentially
   // on the caller's thread — same results (shards share nothing), useful
   // for debugging.
@@ -75,18 +71,11 @@ struct ServiceConfig {
   GossipConfig gossip;
   // Cross-shard rebalancing: when a shard's occupancy exceeds the smallest
   // gossiped peer occupancy by at least `rebalance_min_gap`, it migrates up
-  // to `rebalance_max_moves` conferences toward that peer, then cools down.
-  // The default gap is comfortably above the ±1 skew least-loaded admission
+  // to two conferences toward that peer, then cools down for 5 s. The
+  // default gap is comfortably above the ±1 skew least-loaded admission
   // leaves, so rebalancing only engages after real disruption (a crashed
   // shard's victims piling onto survivors).
   int rebalance_min_gap = 6;
-  int rebalance_max_moves = 2;
-  TimeDelta rebalance_cooldown = TimeDelta::Seconds(5);
-  // Safety margin added to a crashed conference's recorded SSRC frontier
-  // when rebuilding: the record is up to one slice stale, so the margin
-  // must exceed any single-slice allocation burst (a slice is 200 ms; even
-  // a full re-home of an 8-member meeting allocates well under 100).
-  uint32_t ssrc_frontier_slack = 1024;
   // Optional service-level observability; must outlive the service.
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -202,7 +191,7 @@ class OrchestrationService {
   // must know to rebuild a meeting whose shard died without warning. The
   // roster and SSRC frontier are refreshed from the live object every
   // slice (write-through at the boundary), so at crash time the record is
-  // at most one slice stale; `ssrc_frontier_slack` covers that gap.
+  // at most one slice stale; kSsrcFrontierSlack covers that gap.
   struct ConferenceRecord {
     ConferenceSpec spec;
     std::vector<ClientId> roster;

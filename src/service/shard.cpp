@@ -4,23 +4,18 @@
 #include <cstring>
 #include <utility>
 
+#include "common/fnv.h"
 #include "common/logging.h"
 #include "service/fleet_model.h"
 
 namespace gso::service {
 namespace {
 
-// FNV-1a over raw bytes; doubles hash by bit pattern so the digest is an
-// exact-equality check, not an approximate one.
-uint64_t HashBytes(uint64_t h, const void* data, size_t size) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+// Meetings with at least this many participants rank as SolveClass::kLarge.
+constexpr int kLargeMeetingThreshold = 6;
 
+// Doubles hash by bit pattern so the digest is an exact-equality check,
+// not an approximate one.
 uint64_t HashDouble(uint64_t h, double value) {
   uint64_t bits;
   std::memcpy(&bits, &value, sizeof(bits));
@@ -50,8 +45,8 @@ void OutcomeAggregate::Fold(const ConferenceOutcome& outcome) {
   digest = HashBytes(digest, &outcome.solves, sizeof(outcome.solves));
 }
 
-Shard::Shard(const ShardConfig& config)
-    : config_(config), queue_(config.solve_backlog, &loop_) {}
+Shard::Shard(int index, int solve_backlog)
+    : index_(index), queue_(solve_backlog, &loop_) {}
 
 Shard::~Shard() {
   // Teardown ordering: a shard destroyed with solves still queued must not
@@ -313,7 +308,7 @@ SolveClass Shard::Classify(const Hosted& hosted,
   // Degraded first: a meeting inside an active fault episode (outage,
   // loss, crash window) needs its re-configuration soonest.
   if (hosted.plan->active_episodes() > 0) return SolveClass::kDegraded;
-  if (node->member_count() >= config_.large_meeting_threshold) {
+  if (node->member_count() >= kLargeMeetingThreshold) {
     return SolveClass::kLarge;
   }
   return SolveClass::kNormal;

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/ids.h"
 #include "conference/conference.h"
 #include "service/solve_queue.h"
@@ -40,13 +41,6 @@
 #include "sim/process.h"
 
 namespace gso::service {
-
-struct ShardConfig {
-  int index = 0;
-  int solve_backlog = 32;
-  // Meetings with at least this many participants rank as SolveClass::kLarge.
-  int large_meeting_threshold = 6;
-};
 
 // What the service needs to host one conference.
 struct ConferenceSpec {
@@ -85,14 +79,16 @@ struct OutcomeAggregate {
   double voice_sum = 0;
   double min_satisfaction = 0;
   std::array<uint32_t, kBuckets> satisfaction_histogram{};
-  uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis
+  uint64_t digest = kDigestSeed;
 
   void Fold(const ConferenceOutcome& outcome);
 };
 
 class Shard : public sim::CrashableProcess {
  public:
-  explicit Shard(const ShardConfig& config);
+  // Shard number `index` in the fleet; its solve queue holds at most
+  // `solve_backlog` requests (see SolveQueue).
+  Shard(int index, int solve_backlog);
   ~Shard() override;
 
   Shard(const Shard&) = delete;
@@ -146,7 +142,7 @@ class Shard : public sim::CrashableProcess {
   void Restart() override;
   bool alive() const override { return alive_; }
   std::string process_name() const override {
-    return "shard" + std::to_string(config_.index);
+    return "shard" + std::to_string(index_);
   }
   bool restart_pending() const { return restart_pending_; }
   // Completes a pending Restart(): requires every limbo conference to be
@@ -191,7 +187,7 @@ class Shard : public sim::CrashableProcess {
   const OutcomeAggregate& aggregate() const { return aggregate_; }
   int queue_depth() const { return queue_.depth(); }
   SolveQueueStats& queue_stats() { return queue_.stats(); }
-  const ShardConfig& config() const { return config_; }
+  int index() const { return index_; }
   // Solves committed per virtual second since the shard started (virtual
   // time, so the rate is deterministic).
   double solves_per_virtual_sec() const;
@@ -210,7 +206,7 @@ class Shard : public sim::CrashableProcess {
   void WireAndStart(uint64_t id, Hosted hosted, bool reconstructing);
   void EraseHosted(uint64_t id);
 
-  ShardConfig config_;
+  int index_;
   sim::EventLoop loop_;
   SolveQueue queue_;
   std::map<uint64_t, Hosted> hosted_;

@@ -17,9 +17,12 @@ void SendDatagram(sim::Link& link, Timestamp now,
   link.Send(sim::Packet{sim::PacketBytes(data), wire, now});
 }
 
-Egress::Egress(sim::EventLoop* loop, BweConfig config, Ssrc padding_ssrc,
+Egress::Egress(sim::EventLoop* loop, DataRate start_rate, Ssrc padding_ssrc,
                sim::Link* link)
-    : loop_(loop), link_(link), bwe_(config), padding_ssrc_(padding_ssrc) {}
+    : loop_(loop),
+      link_(link),
+      bwe_(start_rate),
+      padding_ssrc_(padding_ssrc) {}
 
 DataSize Egress::WireSize(net::RtpPacket packet) {
   packet.transport_sequence = 0;

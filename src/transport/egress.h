@@ -29,8 +29,9 @@ void SendDatagram(sim::Link& link, Timestamp now,
 
 class Egress {
  public:
-  // `padding_ssrc` marks this sender's probe padding (see SendPadding).
-  Egress(sim::EventLoop* loop, BweConfig config, Ssrc padding_ssrc,
+  // The link's BWE starts at `start_rate`; `padding_ssrc` marks this
+  // sender's probe padding (see SendPadding).
+  Egress(sim::EventLoop* loop, DataRate start_rate, Ssrc padding_ssrc,
          sim::Link* link = nullptr);
 
   void set_link(sim::Link* link) { link_ = link; }

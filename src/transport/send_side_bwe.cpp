@@ -3,14 +3,19 @@
 #include <algorithm>
 
 namespace gso::transport {
+namespace {
 
-SendSideBwe::SendSideBwe(BweConfig config)
-    : config_(config),
-      aimd_(config.min_rate, config.max_rate, config.start_rate),
-      loss_based_(config.min_rate, config.max_rate, config.start_rate),
+constexpr DataRate kMinRate = DataRate::KilobitsPerSec(30);
+constexpr DataRate kMaxRate = DataRate::MegabitsPerSec(20);
+
+}  // namespace
+
+SendSideBwe::SendSideBwe(DataRate start_rate)
+    : aimd_(kMinRate, kMaxRate, start_rate),
+      loss_based_(kMinRate, kMaxRate, start_rate),
       smoothed_loss_(/*alpha=*/0.3),
       acked_rate_(TimeDelta::Millis(750)),
-      target_rate_(config.start_rate) {
+      target_rate_(start_rate) {
   smoothed_loss_.Add(0.0);
 }
 
@@ -113,7 +118,7 @@ void SendSideBwe::EvaluateProbes() {
       // way packet-train dispersion estimators do.
       const DataRate probe_rate = (cluster.bytes - cluster.last_size) /
                                   (last - first);
-      const DataRate capped = std::min(probe_rate * 0.85, config_.max_rate);
+      const DataRate capped = std::min(probe_rate * 0.85, kMaxRate);
       if (capped > target_rate_) {
         target_rate_ = capped;
         aimd_.SetEstimate(capped, last);

@@ -24,12 +24,6 @@
 
 namespace gso::transport {
 
-struct BweConfig {
-  DataRate min_rate = DataRate::KilobitsPerSec(30);
-  DataRate max_rate = DataRate::MegabitsPerSec(20);
-  DataRate start_rate = DataRate::KilobitsPerSec(300);
-};
-
 // Probe-cluster shape shared by client and node probers: a short train at
 // a modest multiple of the estimate. The multiple and train length are
 // chosen so that, when the link is already at capacity, the self-inflicted
@@ -41,7 +35,8 @@ inline constexpr int64_t kProbePacketBytes = 400;
 
 class SendSideBwe {
  public:
-  explicit SendSideBwe(BweConfig config = {});
+  // The estimate starts at `start_rate` and stays within [30 kbps, 20 Mbps].
+  explicit SendSideBwe(DataRate start_rate);
 
   // Records an outgoing packet. `probe_cluster_id` groups probe packets.
   void OnPacketSent(uint16_t transport_sequence, Timestamp send_time,
@@ -87,7 +82,6 @@ class SendSideBwe {
 
   void EvaluateProbes();
 
-  BweConfig config_;
   PacketHistory history_;
   TrendlineEstimator trendline_;
   AimdRateControl aimd_;

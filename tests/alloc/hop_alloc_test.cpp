@@ -210,8 +210,8 @@ TEST(HopAlloc, EgressSendRtpAndDeliveryAllocateNothing) {
   }
   sim::EventLoop loop;
   sim::Link link(&loop, sim::LinkConfig::Wifi(), Rng(5));
-  transport::Egress egress(&loop, transport::BweConfig{}, Ssrc(0x80000001u),
-                           &link);
+  transport::Egress egress(&loop, DataRate::KilobitsPerSec(300),
+                           Ssrc(0x80000001u), &link);
   transport::FeedbackBuilder feedback;
   int64_t delivered = 0;
   link.SetSink([&](const sim::Packet& p) {
@@ -281,8 +281,8 @@ TEST(HopAlloc, RtcpCompoundAllocatesAtMostOnce) {
   }
   sim::EventLoop loop;
   sim::Link link(&loop, sim::LinkConfig{}, Rng(6));
-  transport::Egress egress(&loop, transport::BweConfig{}, Ssrc(0x80000002u),
-                           &link);
+  transport::Egress egress(&loop, DataRate::KilobitsPerSec(300),
+                           Ssrc(0x80000002u), &link);
   int64_t delivered = 0;
   link.SetSink([&](const sim::Packet& p) { delivered += net::IsRtcp(p.data); });
   net::TransportFeedback report;

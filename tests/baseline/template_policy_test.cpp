@@ -21,13 +21,13 @@ int ActiveLayers(const std::vector<LayerDecision>& layers) {
 }
 
 TEST(ChimeLike, OneOnOneSendsSingleStream) {
-  TemplatePolicy policy({TemplateKind::kChimeLike, TimeDelta::Seconds(1)});
+  TemplatePolicy policy(TemplateKind::kChimeLike);
   EXPECT_EQ(ActiveLayers(policy.Decide(DataRate::MegabitsPerSec(5), 2)), 1);
   EXPECT_EQ(ActiveLayers(policy.Decide(DataRate::KilobitsPerSec(500), 2)), 1);
 }
 
 TEST(ChimeLike, SmallMeetingHighPlusLow) {
-  TemplatePolicy policy({TemplateKind::kChimeLike, TimeDelta::Seconds(1)});
+  TemplatePolicy policy(TemplateKind::kChimeLike);
   const auto layers = policy.Decide(DataRate::MegabitsPerSec(5), 4);
   EXPECT_EQ(ActiveLayers(layers), 2);
   EXPECT_EQ(layers[0].bitrate, DataRate::MegabitsPerSecF(1.5));
@@ -35,7 +35,7 @@ TEST(ChimeLike, SmallMeetingHighPlusLow) {
 }
 
 TEST(ChimeLike, LargeMeetingNever720p) {
-  TemplatePolicy policy({TemplateKind::kChimeLike, TimeDelta::Seconds(1)});
+  TemplatePolicy policy(TemplateKind::kChimeLike);
   for (int64_t kbps : {500, 1500, 5000, 20000}) {
     const auto layers =
         policy.Decide(DataRate::KilobitsPerSec(kbps), 20);
@@ -44,7 +44,7 @@ TEST(ChimeLike, LargeMeetingNever720p) {
 }
 
 TEST(ChimeLike, DegradesMonotonicallyWithUplink) {
-  TemplatePolicy policy({TemplateKind::kChimeLike, TimeDelta::Seconds(1)});
+  TemplatePolicy policy(TemplateKind::kChimeLike);
   DataRate previous = DataRate::PlusInfinity();
   for (int64_t kbps : {5000, 2000, 800, 250}) {
     const DataRate total =
@@ -57,7 +57,7 @@ TEST(ChimeLike, DegradesMonotonicallyWithUplink) {
 TEST(ChimeLike, AlwaysSendsSomething) {
   // The template never blanks video completely — even awful uplinks get
   // the 100 kbps thumbnail.
-  TemplatePolicy policy({TemplateKind::kChimeLike, TimeDelta::Seconds(1)});
+  TemplatePolicy policy(TemplateKind::kChimeLike);
   for (int participants : {2, 4, 20}) {
     const auto layers =
         policy.Decide(DataRate::KilobitsPerSec(120), participants);
@@ -66,8 +66,7 @@ TEST(ChimeLike, AlwaysSendsSomething) {
 }
 
 TEST(CoarseThreeLevel, ClassicLevels) {
-  TemplatePolicy policy(
-      {TemplateKind::kCoarseThreeLevel, TimeDelta::Seconds(1)});
+  TemplatePolicy policy(TemplateKind::kCoarseThreeLevel);
   const auto rich = policy.Decide(DataRate::MegabitsPerSec(10), 2);
   EXPECT_EQ(rich[0].bitrate, DataRate::MegabitsPerSecF(1.2));
   EXPECT_EQ(rich[1].bitrate, DataRate::KilobitsPerSec(600));
@@ -80,7 +79,7 @@ TEST(CoarseThreeLevel, ClassicLevels) {
 TEST(Competitors, DecideWithoutCrashing) {
   for (TemplateKind kind :
        {TemplateKind::kCompetitorA, TemplateKind::kCompetitorB}) {
-    TemplatePolicy policy({kind, TimeDelta::Seconds(1)});
+    TemplatePolicy policy(kind);
     for (int64_t kbps : {100, 500, 1500, 5000}) {
       const auto layers = policy.Decide(DataRate::KilobitsPerSec(kbps), 3);
       EXPECT_GE(ActiveLayers(layers), 1) << static_cast<int>(kind) << kbps;
@@ -89,7 +88,7 @@ TEST(Competitors, DecideWithoutCrashing) {
 }
 
 TEST(CompetitorA, TwoLevelLadderWithWideGap) {
-  TemplatePolicy policy({TemplateKind::kCompetitorA, TimeDelta::Seconds(1)});
+  TemplatePolicy policy(TemplateKind::kCompetitorA);
   const auto layers = policy.Decide(DataRate::MegabitsPerSec(5), 3);
   ASSERT_EQ(layers.size(), 2u);
   // The paper notes adjacent-stream ratios as large as 5x in the wild.
@@ -97,7 +96,7 @@ TEST(CompetitorA, TwoLevelLadderWithWideGap) {
 }
 
 TEST(SfuSelector, PicksLargestFittingLayer) {
-  SfuLayerSelector selector(0.9);
+  SfuLayerSelector selector;
   const std::vector<DataRate> rates = {DataRate::MegabitsPerSecF(1.5),
                                        DataRate::KilobitsPerSec(600),
                                        DataRate::KilobitsPerSec(300)};
@@ -108,7 +107,7 @@ TEST(SfuSelector, PicksLargestFittingLayer) {
 }
 
 TEST(SfuSelector, SkipsDisabledLayers) {
-  SfuLayerSelector selector(0.9);
+  SfuLayerSelector selector;
   const std::vector<DataRate> rates = {DataRate::Zero(),
                                        DataRate::KilobitsPerSec(600),
                                        DataRate::Zero()};
@@ -117,7 +116,7 @@ TEST(SfuSelector, SkipsDisabledLayers) {
 }
 
 TEST(SfuSelector, MarginLeavesHeadroom) {
-  SfuLayerSelector selector(0.9);
+  SfuLayerSelector selector;
   const std::vector<DataRate> rates = {DataRate::KilobitsPerSec(600)};
   // 600 <= 0.9 * 650 fails (585), 600 <= 0.9 * 700 passes (630).
   EXPECT_EQ(selector.Select(rates, DataRate::KilobitsPerSec(650)), -1);

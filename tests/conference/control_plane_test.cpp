@@ -59,6 +59,47 @@ TEST(ControlPlane, BandwidthReportsFlowIntoProblem) {
   EXPECT_TRUE(found);
 }
 
+// A report older than the controller's 10 s age limit counts as absent:
+// the member's budget falls back to its join-time default until a fresh
+// report arrives.
+TEST(ControlPlane, StaleReportsAgeOutToJoinTimeBudget) {
+  ConferenceConfig config;
+  auto conference = BuildMeeting(config, 2);
+  ConferenceNode& control = conference->control();
+  const auto budget_of = [&control](ClientId client) {
+    for (const auto& budget : control.last_problem().budgets) {
+      if (budget.client == client) return budget;
+    }
+    ADD_FAILURE() << "no budget for client " << client.value();
+    return core::ClientBudget{};
+  };
+  control.OrchestrateNow();
+  const core::ClientBudget join_time = budget_of(ClientId(1));
+  // 300 kbps up / 500 kbps down before any report, * 0.95 - 40 kbps audio.
+  EXPECT_NEAR(join_time.uplink.kbps(), 300 * 0.95 - 40, 1.0);
+  EXPECT_NEAR(join_time.downlink.kbps(), 500 * 0.95 - 40, 1.0);
+
+  control.OnSembReport(ClientId(1), DataRate::MegabitsPerSec(3));
+  control.OnDownlinkReport(ClientId(1), DataRate::MegabitsPerSec(4));
+  control.OrchestrateNow();
+  EXPECT_NEAR(budget_of(ClientId(1)).uplink.kbps(), 3000 * 0.95 - 40, 1.0);
+  EXPECT_EQ(control.reports_aged_out(), 0);
+
+  // The meeting is not started, so no client or node reports for 11 s.
+  conference->RunFor(TimeDelta::Seconds(11));
+  control.OrchestrateNow();
+  EXPECT_EQ(control.reports_aged_out(), 2);  // the uplink and the downlink
+  EXPECT_EQ(budget_of(ClientId(1)).uplink, join_time.uplink);
+  EXPECT_EQ(budget_of(ClientId(1)).downlink, join_time.downlink);
+
+  control.OnSembReport(ClientId(1), DataRate::MegabitsPerSec(3));
+  control.OnDownlinkReport(ClientId(1), DataRate::MegabitsPerSec(4));
+  control.OrchestrateNow();
+  EXPECT_EQ(control.reports_aged_out(), 2);
+  EXPECT_NEAR(budget_of(ClientId(1)).uplink.kbps(), 3000 * 0.95 - 40, 1.0);
+  EXPECT_NEAR(budget_of(ClientId(1)).downlink.kbps(), 4000 * 0.95 - 40, 1.0);
+}
+
 TEST(ControlPlane, SpeakerPriorityMultipliesSubscriptions) {
   ConferenceConfig config;
   auto conference = BuildMeeting(config, 3);

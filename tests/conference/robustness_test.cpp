@@ -114,7 +114,7 @@ TEST(Robustness, RestartReconstructsReclaimsAndBumpsEpoch) {
   EXPECT_GT(conference->control().last_reconstruction_latency(),
             TimeDelta::Zero());
   EXPECT_LE(conference->control().last_reconstruction_latency(),
-            ControllerConfig{}.reconstruct_timeout);
+            kReconstructTimeout);
   EXPECT_GE(conference->control().resolves_after_restart(), 1);
   for (int i = 1; i <= 4; ++i) {
     const Client* client = conference->client(ClientId(static_cast<uint32_t>(i)));
@@ -141,11 +141,10 @@ TEST(Robustness, RestartDampingBoundsResolveStorm) {
   conference->RunFor(TimeDelta::Seconds(14));
   const int resolves = conference->control().resolves_after_restart();
   EXPECT_GE(resolves, 1);
-  // Reconstruction solve + at most ceil(damping / max_interval) time
+  // Reconstruction solve + at most ceil(damping / max interval) time
   // triggers; event triggers are suppressed inside the window.
   const auto budget =
-      1 + static_cast<int>(ControllerConfig{}.restart_damping /
-                           ControllerConfig{}.max_interval) + 1;
+      1 + static_cast<int>(kRestartDamping / kMaxCallInterval) + 1;
   EXPECT_LE(resolves, budget) << "re-solve storm after restart";
 }
 

@@ -192,7 +192,7 @@ TEST(Mckp, QuantizationBoundaryValuesStayConsistent) {
 TEST(Mckp, QuantumRescaleWithBoundaryValues) {
   // Force the quantum rescale path (value_sum / quantum > max_cells) with
   // values crafted to land exactly on the rescaled cell boundaries.
-  DpMckpSolver dp(1.0, /*max_cells=*/8);
+  DpMckpSolver dp(/*max_cells=*/8);
   MckpWorkspace workspace;
   std::vector<MckpClass> classes;
   classes.push_back(MakeClass({{100, 64.0}, {50, 32.0}, {25, 16.0}}));

@@ -425,7 +425,7 @@ TEST(OrchestratorEquivalence, DpSolverMatchesReferenceExactly) {
 // quantum rescale path where items collide into shared cells).
 TEST(OrchestratorEquivalence, DpMatchesReferenceUnderCoarseQuantization) {
   Rng rng(77);
-  DpMckpSolver dp(1.0, /*max_cells=*/24);
+  DpMckpSolver dp(/*max_cells=*/24);
   const reference::RefDpSolver ref(1.0, /*max_cells=*/24);
   MckpWorkspace workspace;
   for (int trial = 0; trial < 400; ++trial) {
@@ -845,7 +845,7 @@ TEST(OrchestratorEquivalence, BandMatchesReferenceOnInfiniteDownlink) {
 TEST(OrchestratorEquivalence, BandMatchesReferenceUnderMaxCellsRescale) {
   Rng rng(105);
   for (const int64_t max_cells : {8, 24, 200}) {
-    const DpMckpSolver dp(1.0, max_cells);
+    const DpMckpSolver dp(max_cells);
     const reference::RefDpSolver ref(1.0, max_cells);
     MckpWorkspace workspace;
     MckpResult result;

@@ -191,9 +191,7 @@ TEST(OrchestrationService, ExportsGossipAndFailoverMetrics) {
 // the owner machinery — no solve may run or commit during teardown, and
 // no freed conference may be touched (ASan enforces the latter).
 TEST(OrchestrationService, MidBatchShutdownLeavesNoStrayCommits) {
-  ShardConfig config;
-  config.solve_backlog = 8;
-  auto shard = std::make_unique<Shard>(config);
+  auto shard = std::make_unique<Shard>(/*index=*/0, /*solve_backlog=*/8);
   ConferenceSpec spec;
   spec.participants = 3;
   spec.seed = 21;

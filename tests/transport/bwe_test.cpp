@@ -67,7 +67,7 @@ class PathDriver {
 };
 
 TEST(SendSideBwe, GrowsWhenPathHasHeadroom) {
-  SendSideBwe bwe;
+  SendSideBwe bwe(DataRate::KilobitsPerSec(300));
   PathDriver path(DataRate::MegabitsPerSec(10));
   // Send at the estimate; AIMD alone should lift it well above start.
   DataRate rate = bwe.target_rate();
@@ -78,9 +78,7 @@ TEST(SendSideBwe, GrowsWhenPathHasHeadroom) {
 }
 
 TEST(SendSideBwe, BacksOffWhenSendingAboveCapacity) {
-  SendSideBwe bwe(BweConfig{DataRate::KilobitsPerSec(30),
-                            DataRate::MegabitsPerSec(20),
-                            DataRate::MegabitsPerSec(2)});
+  SendSideBwe bwe(DataRate::MegabitsPerSec(2));
   PathDriver path(DataRate::MegabitsPerSec(1));
   const DataRate rate =
       path.Drive(bwe, DataRate::MegabitsPerSec(2), TimeDelta::Seconds(3));
@@ -90,9 +88,7 @@ TEST(SendSideBwe, BacksOffWhenSendingAboveCapacity) {
 TEST(SendSideBwe, RandomLossWithoutQueueIsTolerated) {
   // 30% loss but no delay buildup (sending below capacity): the loss is
   // classified non-congestive and the estimate must not collapse.
-  SendSideBwe bwe(BweConfig{DataRate::KilobitsPerSec(30),
-                            DataRate::MegabitsPerSec(20),
-                            DataRate::MegabitsPerSec(1)});
+  SendSideBwe bwe(DataRate::MegabitsPerSec(1));
   PathDriver path(DataRate::MegabitsPerSec(50));
   const DataRate rate = path.Drive(bwe, DataRate::MegabitsPerSec(1),
                                    TimeDelta::Seconds(5), /*loss=*/0.3);
@@ -102,9 +98,7 @@ TEST(SendSideBwe, RandomLossWithoutQueueIsTolerated) {
 TEST(SendSideBwe, CongestiveLossCutsEstimate) {
   // Loss caused by a saturated 500 kbps path (standing queue): the
   // classifier must treat it as congestive and cut the estimate.
-  SendSideBwe bwe(BweConfig{DataRate::KilobitsPerSec(30),
-                            DataRate::MegabitsPerSec(20),
-                            DataRate::MegabitsPerSec(2)});
+  SendSideBwe bwe(DataRate::MegabitsPerSec(2));
   PathDriver path(DataRate::KilobitsPerSec(500));
   const DataRate rate = path.Drive(bwe, DataRate::MegabitsPerSec(2),
                                    TimeDelta::Seconds(4), /*loss=*/0.2);
@@ -112,7 +106,7 @@ TEST(SendSideBwe, CongestiveLossCutsEstimate) {
 }
 
 TEST(SendSideBwe, ProbeClusterRaisesEstimate) {
-  SendSideBwe bwe;
+  SendSideBwe bwe(DataRate::KilobitsPerSec(300));
   const Timestamp base = Timestamp::Millis(1000);
   // Deliver a probe cluster at ~2 Mbps arrival spacing.
   net::TransportFeedback feedback;
@@ -134,7 +128,7 @@ TEST(SendSideBwe, ProbeClusterRaisesEstimate) {
 }
 
 TEST(SendSideBwe, WantsProbeRespectsLossAndRecency) {
-  SendSideBwe bwe;
+  SendSideBwe bwe(DataRate::KilobitsPerSec(300));
   // Fresh estimator with zero loss: after a quiet period it wants a probe.
   EXPECT_TRUE(bwe.WantsProbe(Timestamp::Seconds(10)));
   bwe.OnProbeSent(Timestamp::Seconds(10));
@@ -144,7 +138,7 @@ TEST(SendSideBwe, WantsProbeRespectsLossAndRecency) {
 }
 
 TEST(SendSideBwe, FeedbackForUnknownSequencesIsIgnored) {
-  SendSideBwe bwe;
+  SendSideBwe bwe(DataRate::KilobitsPerSec(300));
   const DataRate before = bwe.target_rate();
   net::TransportFeedback feedback;
   feedback.sender_ssrc = Ssrc(1);

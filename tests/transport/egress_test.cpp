@@ -16,7 +16,8 @@ class EgressTest : public ::testing::Test {
  protected:
   EgressTest()
       : link_(&loop_, sim::LinkConfig{}, Rng(1)),
-        egress_(&loop_, BweConfig{}, Ssrc(0x80000007u), &link_) {
+        egress_(&loop_, DataRate::KilobitsPerSec(300), Ssrc(0x80000007u),
+                &link_) {
     link_.SetSink([this](const sim::Packet& p) {
       delivered_.push_back(p);
       arrivals_.push_back(loop_.Now());
