@@ -9,9 +9,10 @@
 // timed. The rows are timed in interleaved round-robin batches (see
 // TimeInterleaved). Results are written as BENCH rows (bench/bench_json.h):
 // per shape the wall_ns_per_solve latency and the wall_timed_solves of the
-// kept batch (both read off the host clock), and the solution's total_qoe
-// and iterations, which no optimization may change (see
-// BENCH_controller.json at the repo root and tools/perf_gate.py).
+// kept batch (both read off the host clock), the solution's total_qoe and
+// iterations, which no optimization may change, and dp_cells, the DP cells
+// one solve relaxes: exact work that a regression cannot hide in host noise
+// (see BENCH_controller.json at the repo root and tools/perf_gate.py).
 //
 // With --trace-out=FILE it additionally dumps one observability trace per
 // shape (SolveStats work counts and per-step wall time as schema-locked
@@ -53,6 +54,7 @@ struct Row {
   int solves = 0;
   double total_qoe = 0.0;  // sanity: must not change across optimizations
   int iterations = 0;
+  int64_t dp_cells = 0;  // SolveStats::dp_cells of one (untimed) solve
 };
 
 // A row under measurement: `solve(i)` runs the i-th measured solve of the
@@ -105,6 +107,7 @@ Timed ColdShape(const Shape& shape, const MckpSolver* solver) {
     const Solution& s = orchestrator->Solve(SolveRequest::Cold(shape.problem));
     timed.row.total_qoe = s.total_qoe;
     timed.row.iterations = s.iterations;
+    timed.row.dp_cells = s.stats.dp_cells;
   }
   timed.solve = [orchestrator, &problem = shape.problem](int) {
     const auto start = std::chrono::steady_clock::now();
@@ -198,6 +201,7 @@ Timed DeltaShape(const std::string& name, const MckpSolver* solver,
     }
     timed.row.total_qoe = warm.total_qoe;
     timed.row.iterations = warm.iterations;
+    timed.row.dp_cells = warm.stats.dp_cells;
     if (restore(state->problem, i)) {
       (void)state->orchestrator.Solve(SolveRequest::Warm(state->problem));
     }
@@ -306,6 +310,7 @@ void RecordSolveTraces(obs::MetricsRegistry* registry,
         {"control.solve.dirty_subscribers", "count",
          double(stats.dirty_subscribers)},
         {"control.solve.cache_hits", "count", double(stats.step1_cache_hits)},
+        {"control.solve.dp_cells", "count", double(stats.dp_cells)},
         {"control.solve.compile_wall", "us", stats.compile_wall_us},
         {"control.solve.step1_wall", "us", stats.step1_wall_us},
         {"control.solve.step2_wall", "us", stats.step2_wall_us},
@@ -387,6 +392,8 @@ int main(int argc, char** argv) {
     json.Add(row.shape, "wall_timed_solves", "count", row.solves);
     json.Add(row.shape, "total_qoe", "score", row.total_qoe, 6);
     json.Add(row.shape, "iterations", "count", row.iterations);
+    json.Add(row.shape, "dp_cells", "count",
+             static_cast<double>(row.dp_cells));
   }
   if (!json.Write(out)) return 1;
   std::printf("wrote %s\n", out.c_str());

@@ -237,7 +237,14 @@ void Client::HandleRtp(const sim::Packet& sim_packet) {
     const Timestamp capture =
         Timestamp::Micros(static_cast<int64_t>(parsed->timestamp) * 1000 / 48);
     if (now - capture <= TimeDelta::Millis(250)) {
-      state.received_per_interval[PlaybackInterval(now)]++;
+      // Playback intervals only grow: bump the newest entry, or append.
+      auto& counts = state.received_per_interval;
+      const int64_t interval = PlaybackInterval(now);
+      if (!counts.empty() && counts.rbegin()->first == interval) {
+        ++counts.rbegin()->second;
+      } else {
+        ++counts.emplace_hint(counts.end(), interval, 0)->second;
+      }
     }
     return;
   }

@@ -64,10 +64,11 @@ using HullStep = MckpWorkspace::HullStep;
 
 // Builds the upper convex hull of one pruned class over its survivors and
 // the empty choice (0, 0), and appends the hull's steps, each of positive
-// weight and value, to `segments` in hull order (decreasing efficiency).
+// weight and value and tagged with class index `k`, to `segments` in hull
+// order (strictly decreasing efficiency: collinear vertices are dropped).
 // `order` is PruneClass's sort of the class. Returns the hull's value at
 // weight 0: a weight-0 survivor's value, else 0.
-int64_t AppendHullSteps(const MckpClass& cls, const int64_t* vq,
+int64_t AppendHullSteps(const MckpClass& cls, int32_t k, const int64_t* vq,
                         const uint8_t* keep, const std::vector<int16_t>& order,
                         std::vector<HullStep>* hull,
                         std::vector<HullStep>* segments) {
@@ -96,16 +97,19 @@ int64_t AppendHullSteps(const MckpClass& cls, const int64_t* vq,
   }
   for (size_t i = 1; i < hull->size(); ++i) {
     segments->push_back(HullStep{(*hull)[i].weight - (*hull)[i - 1].weight,
-                                 (*hull)[i].value - (*hull)[i - 1].value});
+                                 (*hull)[i].value - (*hull)[i - 1].value, k});
   }
   return hull->front().value;
 }
 
 // Prunes every class (ws->keep, ws->max_vq) and computes the value band
-// ws->band_lower (L) and ws->band_upper (U) described at DpMckpSolver.
+// ws->band_lower (L) and ws->band_upper (U) and the critical efficiency
+// lambda = ws->lambda_p / ws->lambda_q described at DpMckpSolver.
 void PruneAndBound(std::span<const MckpClass> classes, int64_t capacity,
                    MckpWorkspace* ws) {
   ws->max_vq.resize(classes.size());
+  ws->min_vq.assign(classes.size(), 0);
+  ws->need_item.resize(classes.size());
   ws->segments.clear();
   int64_t taken = 0;  // the hulls' values at weight 0, then whole steps
   bool any_mandatory = false;
@@ -116,8 +120,9 @@ void PruneAndBound(std::span<const MckpClass> classes, int64_t capacity,
     const int64_t* vq = ws->vq.data() + ws->vq_offset[k];
     uint8_t* keep = ws->keep.data() + ws->vq_offset[k];
     ws->max_vq[k] = PruneClass(cls, vq, capacity, keep, &ws->order);
-    taken += AppendHullSteps(cls, vq, keep, ws->order, &ws->hull,
-                             &ws->segments);
+    taken += AppendHullSteps(cls, static_cast<int32_t>(k), vq, keep,
+                             ws->order, &ws->hull, &ws->segments);
+    ws->need_item[k] = cls.mandatory;
     any_mandatory = any_mandatory || cls.mandatory;
   }
   std::sort(ws->segments.begin(), ws->segments.end(),
@@ -125,21 +130,87 @@ void PruneAndBound(std::span<const MckpClass> classes, int64_t capacity,
               return static_cast<__int128>(a.value) * b.weight >
                      static_cast<__int128>(b.value) * a.weight;
             });
-  // Dantzig's greedy: whole steps while they fit, then a fraction of the
-  // first that does not. Steps exist only when capacity >= 0.
+  // Dantzig's greedy: whole steps while they fit. The first that does not
+  // is critical: U takes a fraction of it, and its efficiency is lambda.
+  // L's greedy goes on past it: a class whose step did not fit is blocked,
+  // and every later step of an unblocked class that still fits is taken,
+  // so L's selection is still one hull vertex per class within capacity.
+  // Steps exist only when capacity >= 0.
+  ws->blocked.assign(classes.size(), 0);
+  ws->lambda_p = 0;
+  ws->lambda_q = 1;
+  int64_t upper = -1;  // U, once the critical step is met
   int64_t rem = capacity;
-  int64_t fraction = 0;
   for (const HullStep& step : ws->segments) {
+    uint8_t& blocked = ws->blocked[static_cast<size_t>(step.klass)];
+    if (blocked) continue;
     if (step.weight > rem) {
-      fraction = static_cast<int64_t>(static_cast<__int128>(step.value) *
-                                      rem / step.weight);
-      break;
+      if (upper < 0) {
+        upper = taken + static_cast<int64_t>(static_cast<__int128>(step.value) *
+                                             rem / step.weight);
+        ws->lambda_p = step.value;
+        ws->lambda_q = step.weight;
+      }
+      blocked = 1;
+      continue;
     }
     rem -= step.weight;
     taken += step.value;
   }
   ws->band_lower = any_mandatory ? 0 : taken;
-  ws->band_upper = taken + fraction;
+  ws->band_upper = upper < 0 ? taken : upper;
+}
+
+// Reduced-cost elimination (see DpMckpSolver), for L > 0: clears keep[j]
+// for every item that no selection worth >= L within the capacity can
+// use, sets need_item[k] when no such selection skips class k, and
+// recomputes max_vq (and min_vq, where need_item) over the survivors.
+void EliminateByReducedCost(std::span<const MckpClass> classes,
+                            int64_t capacity, MckpWorkspace* ws) {
+  const __int128 p = ws->lambda_p;
+  const __int128 q = ws->lambda_q;
+  const auto reduced = [&](const MckpItem& item, int64_t vq) {
+    return q * vq - p * item.weight;
+  };
+  // M_k: the best reduced value of class k's options, skip (0) included.
+  ws->reduced_max.resize(classes.size());
+  __int128 reduced_sum = 0;
+  for (size_t k = 0; k < classes.size(); ++k) {
+    const int64_t* vq = ws->vq.data() + ws->vq_offset[k];
+    const uint8_t* keep = ws->keep.data() + ws->vq_offset[k];
+    __int128 best = 0;
+    for (size_t j = 0; j < classes[k].items.size(); ++j) {
+      if (keep[j]) best = std::max(best, reduced(classes[k].items[j], vq[j]));
+    }
+    ws->reduced_max[k] = best;
+    reduced_sum += best;
+  }
+  // An option of class k with reduced value r survives iff
+  // p * capacity + (reduced_sum - M_k) + r >= q * L.
+  const __int128 bound = q * ws->band_lower - p * capacity;
+  for (size_t k = 0; k < classes.size(); ++k) {
+    const int64_t* vq = ws->vq.data() + ws->vq_offset[k];
+    uint8_t* keep = ws->keep.data() + ws->vq_offset[k];
+    const __int128 need = bound - (reduced_sum - ws->reduced_max[k]);
+    int64_t max_vq = 0;
+    int64_t min_vq = std::numeric_limits<int64_t>::max();
+    for (size_t j = 0; j < classes[k].items.size(); ++j) {
+      if (!keep[j]) continue;
+      if (reduced(classes[k].items[j], vq[j]) < need) {
+        keep[j] = 0;
+        continue;
+      }
+      max_vq = std::max(max_vq, vq[j]);
+      min_vq = std::min(min_vq, vq[j]);
+    }
+    ws->max_vq[k] = max_vq;
+    if (need > 0) {  // skip (reduced value 0) is eliminated
+      // L's own selection survives, so the class keeps an item.
+      GSO_CHECK_LT(min_vq, std::numeric_limits<int64_t>::max());
+      ws->need_item[k] = 1;
+      ws->min_vq[k] = min_vq;
+    }
+  }
 }
 
 // Relaxes item `item` (weight `weight`) over n cells: dst[i] and row[i]
@@ -173,13 +244,14 @@ void RelaxItem(const Cell* __restrict src, Cell* __restrict dst,
   }
 }
 
-// Runs every class pass on `Cell`-wide tables `dp`/`next` (cells up to
-// `cells`, row stride `width` in ws->choices) over the classes PruneAndBound
-// pruned, each from its band floor ws->lo[k]. `cap` is cap_eff. Returns the
-// best quantized value reachable within it, or -1 when infeasible.
+// Runs every class pass on `Cell`-wide tables `dp`/`next` (`width` cells,
+// also the row stride in ws->choices) over the options that
+// PruneAndBound and EliminateByReducedCost kept, class k within its band
+// [ws->lo[k], ws->hi[k]]. `cap` is cap_eff. Returns the best quantized
+// value reachable within it, or -1 when infeasible.
 template <typename Cell>
-int64_t RunPasses(std::span<const MckpClass> classes, Cell cap, int64_t cells,
-                  size_t width, std::vector<Cell>& dp, std::vector<Cell>& next,
+int64_t RunPasses(std::span<const MckpClass> classes, Cell cap, size_t width,
+                  std::vector<Cell>& dp, std::vector<Cell>& next,
                   MckpWorkspace* ws) {
   constexpr Cell kInf = kInfCell<Cell>;
   if (dp.size() < width) dp.resize(width);
@@ -200,13 +272,15 @@ int64_t RunPasses(std::span<const MckpClass> classes, Cell cap, int64_t cells,
     const int64_t* vq = ws->vq.data() + ws->vq_offset[k];
     const uint8_t* keep = ws->keep.data() + ws->vq_offset[k];
     const int64_t lo = ws->lo[k];
+    const bool need_item = ws->need_item[k];
 
     // This pass can only populate cells up to reach + max_vq.
-    const int64_t row_end = std::min(cells, reach + ws->max_vq[k]);
+    const int64_t row_end = std::min(ws->hi[k], reach + ws->max_vq[k]);
     GSO_CHECK_LE(lo, row_end);
     // Start from the skip branch (or unreachable when the class is
-    // mandatory: every state must then include an item of this class).
-    if (cls.mandatory) {
+    // mandatory or its skip was eliminated: every state must then include
+    // an item of this class).
+    if (need_item) {
       std::fill(next.begin() + static_cast<ptrdiff_t>(lo),
                 next.begin() + static_cast<ptrdiff_t>(
                                    std::max(row_end, wm_next) + 1),
@@ -228,12 +302,13 @@ int64_t RunPasses(std::span<const MckpClass> classes, Cell cap, int64_t cells,
     for (size_t j = 0; j < cls.items.size(); ++j) {
       const int64_t first = std::max(vq[j], lo);
       if (!keep[j] || first > row_end) continue;
+      ws->cells_relaxed += row_end - first + 1;
       RelaxItem(dp.data() + (first - vq[j]), next.data() + first, row + first,
                 row_end - first + 1, static_cast<Cell>(cls.items[j].weight),
                 cap, static_cast<int16_t>(j));
     }
     // The highest cell the pass improved, if above the skip branch's reach.
-    int64_t reach_new = cls.mandatory ? -1 : reach;
+    int64_t reach_new = need_item ? -1 : reach;
     for (int64_t v = row_end; v > reach_new; --v) {
       if (row[v] >= 0) {
         reach_new = v;
@@ -244,7 +319,8 @@ int64_t RunPasses(std::span<const MckpClass> classes, Cell cap, int64_t cells,
     std::swap(wm_dp, wm_next);
     reach = reach_new;
     // A mandatory class that admits no feasible item leaves every state
-    // unreachable, and so does every later pass.
+    // unreachable, and so does every later pass. (A class whose skip was
+    // eliminated always keeps L's own choice; see DpMckpSolver.)
     if (reach < 0) return -1;
   }
 
@@ -319,19 +395,25 @@ void DpMckpSolver::Solve(std::span<const MckpClass> classes, int64_t capacity,
     ws->vq_offset[classes.size()] = offset;
   }
 
-  // The value band: no cell above U is ever finite, and each class pass
-  // starts at its floor lo_k.
+  // The value band: no cell above U is ever finite, and class k's pass
+  // covers [lo_k, hi_k]. With a floor L > 0, reduced costs first drop the
+  // options no selection worth >= L can use.
   PruneAndBound(classes, capacity, ws);
   const int64_t cells = std::max<int64_t>(
       1, std::min(static_cast<int64_t>(value_sum / quantum), ws->band_upper));
   // Rounding in value_sum can leave L's selection above the grid; the DP
   // then cannot represent it, so drop the floor.
   if (ws->band_lower > cells) ws->band_lower = 0;
+  if (ws->band_lower > 0) EliminateByReducedCost(classes, capacity, ws);
   ws->lo.resize(classes.size());
-  int64_t suffix = 0;  // sum of max_vq over the classes after k
+  ws->hi.resize(classes.size());
+  int64_t suffix_max = 0;  // sum of max_vq over the classes after k
+  int64_t suffix_min = 0;  // sum of min_vq over the classes after k
   for (size_t k = classes.size(); k-- > 0;) {
-    ws->lo[k] = std::max<int64_t>(0, ws->band_lower - suffix);
-    suffix += ws->max_vq[k];
+    ws->lo[k] = std::max<int64_t>(0, ws->band_lower - suffix_max);
+    ws->hi[k] = cells - suffix_min;
+    suffix_max += ws->max_vq[k];
+    suffix_min += ws->min_vq[k];
   }
   const size_t width = static_cast<size_t>(cells) + 1;
   if (ws->choices.size() < classes.size() * width) {
@@ -340,12 +422,12 @@ void DpMckpSolver::Solve(std::span<const MckpClass> classes, int64_t capacity,
 
   int64_t best_v;
   if (cap_eff < kInfCell<int32_t>) {
-    best_v = RunPasses<int32_t>(classes, static_cast<int32_t>(cap_eff), cells,
-                                width, ws->dp32, ws->next32, ws);
+    best_v = RunPasses<int32_t>(classes, static_cast<int32_t>(cap_eff), width,
+                                ws->dp32, ws->next32, ws);
   } else {
     GSO_CHECK_LT(cap_eff, kInfCell<int64_t>);
-    best_v = RunPasses<int64_t>(classes, cap_eff, cells, width, ws->dp64,
-                                ws->next64, ws);
+    best_v = RunPasses<int64_t>(classes, cap_eff, width, ws->dp64, ws->next64,
+                                ws);
   }
   if (best_v < 0) {
     result.feasible = false;

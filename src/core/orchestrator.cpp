@@ -415,6 +415,8 @@ const Solution& Orchestrator::RunSolve(const CompiledProblem& compiled,
   ws.used_publishers.clear();
   ws.step1.cache_hits = 0;
   ws.step1.mckp_solves = 0;
+  ws.step1.mckp.cells_relaxed = 0;
+  ws.fix_mckp.cells_relaxed = 0;
 
   // Each resolution can be removed at most once; one extra pass terminates.
   const int max_iterations = compiled.total_merge_slots() + 1;
@@ -663,6 +665,8 @@ const Solution& Orchestrator::RunSolve(const CompiledProblem& compiled,
       solution.iterations = iteration;
       stats.knapsack_solves += ws.step1.mckp_solves;
       stats.step1_cache_hits += ws.step1.cache_hits;
+      stats.dp_cells =
+          ws.step1.mckp.cells_relaxed + ws.fix_mckp.cells_relaxed;
       solution.stats = stats;
       solution.stats.total_wall_us = ElapsedUs(solve_start);
       return solution;

@@ -137,6 +137,9 @@ struct SolveStats {
   // dirty_subscribers == all subscribers and zero cache hits.
   int dirty_subscribers = 0;
   int step1_cache_hits = 0;
+  // DP cells relaxed (one item tried at one value cell) by the Step-1 and
+  // Step-3 knapsacks: an exact, host-independent measure of solver work.
+  int64_t dp_cells = 0;
   double compile_wall_us = 0.0;  // problem -> dense-index compilation
   double warm_diff_wall_us = 0.0;  // old-vs-new diff on the warm path
   double step1_wall_us = 0.0;    // per-subscriber knapsacks

@@ -297,6 +297,49 @@ TEST(Mckp, ValueBandBracketsTheOptimum_Property) {
   }
 }
 
+// The reduction on a hand-worked instance (values integral, quantum 1).
+// Hull steps by efficiency: class 0's (4, 8), class 1's (4, 6) and (2, 2),
+// class 2's (3, 2), class 3's (2, 1), class 0's (6, 2). At capacity 12 the
+// first three fit (value 16, 2 left); class 2's step is critical, so
+// lambda = 2/3 and U = 16 + floor(2 * 2/3) = 17. The greedy goes on past
+// it: class 3's step still fits, so L = 17 where Dantzig's greedy stops at
+// 16. Reduced values 3v - 2w: class 0 {skip 0, A 16, B 10}, class 1
+// {0, C 10, D 12}, class 2 {0, E 0}, class 3 {0, F -1}; M = {16, 12, 0, 0}
+// and q * L - p * capacity = 27. An option of class k survives iff its
+// reduced value reaches 27 - (28 - M_k): 15, 11, -1, -1. So B, C and the
+// skips of classes 0 and 1 go, and F survives with no slack: it lies on the
+// only optimum, A + D + F = 17 at weight 12.
+TEST(Mckp, ReducedCostEliminationOnAHandWorkedInstance) {
+  const Classes classes = {
+      MakeClass({{4, 8}, {10, 10}}),  // A, B
+      MakeClass({{4, 6}, {6, 8}}),    // C, D
+      MakeClass({{3, 2}}),            // E
+      MakeClass({{2, 1}}),            // F
+  };
+  DpMckpSolver dp;
+  MckpWorkspace workspace;
+  const auto r = dp.Solve(classes, 12, &workspace);
+  EXPECT_EQ(r.choice, (std::vector<int>{0, 1, -1, 0}));
+  EXPECT_EQ(r.total_value, 17.0);
+  EXPECT_EQ(r.total_weight, 12);
+  EXPECT_EQ(workspace.lambda_p, 2);
+  EXPECT_EQ(workspace.lambda_q, 3);
+  EXPECT_EQ(workspace.band_lower, 17);
+  EXPECT_EQ(workspace.band_upper, 17);
+  // Survivors (keep is per item, classes back to back) and mandatory passes.
+  EXPECT_EQ(std::vector<uint8_t>(workspace.keep.begin(),
+                                 workspace.keep.begin() + 6),
+            (std::vector<uint8_t>{1, 0, 0, 1, 1, 1}));
+  EXPECT_EQ(workspace.need_item, (std::vector<uint8_t>{1, 1, 0, 0}));
+  EXPECT_EQ(workspace.min_vq, (std::vector<int64_t>{8, 8, 0, 0}));
+  EXPECT_EQ(workspace.max_vq, (std::vector<int64_t>{8, 8, 2, 1}));
+  // Bands [lo_k, hi_k]: [6, 9], [14, 17], [16, 17], [17, 17]. The passes
+  // relax A at 8, D at 14..16, E at 16..17 and F at 17.
+  EXPECT_EQ(workspace.lo, (std::vector<int64_t>{6, 14, 16, 17}));
+  EXPECT_EQ(workspace.hi, (std::vector<int64_t>{9, 17, 17, 17}));
+  EXPECT_EQ(workspace.cells_relaxed, 7);
+}
+
 TEST(Mckp, ExhaustiveCountsVisits) {
   ExhaustiveMckpSolver ex;
   ex.Solve(Classes{MakeClass({{1, 1}, {2, 2}}), MakeClass({{1, 1}})}, 100);

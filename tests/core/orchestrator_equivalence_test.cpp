@@ -17,6 +17,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -642,17 +643,20 @@ TEST(OrchestratorEquivalence, DpMatchesReferenceOnAllMandatoryFixShapes) {
 
 // ---- The value band: DpMckpSolver's LP bound U and greedy floor L ----
 
-// Capacities at which the band's greedy changes shape: the running weight
-// sums of every class's upper-hull steps over quantized values (the empty
-// choice included), taken in order of efficiency. Computed independently
-// of the solver, by gift wrapping each class.
-std::vector<int64_t> LpBreakpoints(const std::vector<MckpClass>& classes,
-                                   double value_quantum = 1.0,
-                                   int64_t max_cells = 1 << 16) {
-  struct Step {
-    int64_t weight;
-    int64_t value;
-  };
+// One step of a class's upper hull over quantized values.
+struct Step {
+  int64_t weight;
+  int64_t value;
+};
+
+// Every class's upper-hull steps over quantized values (the empty choice
+// included), taken in order of efficiency, and the hulls' summed value at
+// weight 0. Items heavier than `capacity` are left out. Computed
+// independently of the solver, by gift wrapping each class.
+std::pair<int64_t, std::vector<Step>> HullSteps(
+    const std::vector<MckpClass>& classes, double value_quantum = 1.0,
+    int64_t max_cells = 1 << 16,
+    int64_t capacity = std::numeric_limits<int64_t>::max()) {
   double value_sum = 0.0;
   for (const auto& cls : classes) {
     double best = 0.0;
@@ -668,12 +672,15 @@ std::vector<int64_t> LpBreakpoints(const std::vector<MckpClass>& classes,
     return static_cast<__int128>(b.value - a.value) * (c.weight - a.weight) >=
            static_cast<__int128>(c.value - a.value) * (b.weight - a.weight);
   };
+  int64_t base = 0;
   std::vector<Step> steps;
   for (const auto& cls : classes) {
     std::vector<Step> points;
     Step at{0, 0};
     for (const auto& item : cls.items) {
-      if (item.weight < 0 || item.value < 0) continue;
+      if (item.weight < 0 || item.weight > capacity || item.value < 0) {
+        continue;
+      }
       const auto vq = static_cast<int64_t>(item.value / quantum);
       if (item.weight == 0) {
         at.value = std::max(at.value, vq);
@@ -681,6 +688,7 @@ std::vector<int64_t> LpBreakpoints(const std::vector<MckpClass>& classes,
         points.push_back(Step{item.weight, vq});
       }
     }
+    base += at.value;
     for (;;) {
       const Step* next = nullptr;
       for (const Step& p : points) {
@@ -701,13 +709,33 @@ std::vector<int64_t> LpBreakpoints(const std::vector<MckpClass>& classes,
                      return static_cast<__int128>(a.value) * b.weight >
                             static_cast<__int128>(b.value) * a.weight;
                    });
+  return {base, steps};
+}
+
+// Capacities at which the band's greedy changes shape: the running weight
+// sums of the hull steps in order of efficiency.
+std::vector<int64_t> LpBreakpoints(const std::vector<MckpClass>& classes,
+                                   double value_quantum = 1.0,
+                                   int64_t max_cells = 1 << 16) {
   std::vector<int64_t> breakpoints;
   int64_t sum = 0;
-  for (const Step& step : steps) {
+  for (const Step& step : HullSteps(classes, value_quantum, max_cells).second) {
     sum += step.weight;
     breakpoints.push_back(sum);
   }
   return breakpoints;
+}
+
+// Dantzig's greedy floor (quantum 1): the hulls' values at weight 0 plus
+// every whole step taken before the first that does not fit.
+int64_t DantzigFloor(const std::vector<MckpClass>& classes, int64_t capacity) {
+  auto [floor, steps] = HullSteps(classes, 1.0, 1 << 16, capacity);
+  for (const Step& step : steps) {
+    if (step.weight > capacity) break;
+    capacity -= step.weight;
+    floor += step.value;
+  }
+  return floor;
 }
 
 // ExpectDpMatchesReference at, one below and one above every LP breakpoint
@@ -897,6 +925,291 @@ TEST(OrchestratorEquivalence, BandMatchesReferenceOnMandatoryMixes) {
     for (auto& cls : classes) cls.mandatory = rng.Bernoulli(0.4);
     ExpectDpMatchesReferenceAtBreakpoints(dp, ref, classes, &workspace,
                                           &result);
+  }
+}
+
+// ---- Reduced-cost elimination: the options no selection worth >= L uses
+// are dropped before the passes (DpMckpSolver, only when L > 0) ----
+
+// Optional classes whose skip the last solve eliminated, which then ran as
+// mandatory passes.
+int SkipsEliminated(const std::vector<MckpClass>& classes,
+                    const MckpWorkspace& workspace) {
+  int eliminated = 0;
+  for (size_t k = 0; k < classes.size(); ++k) {
+    if (!classes[k].mandatory && workspace.need_item[k]) ++eliminated;
+  }
+  return eliminated;
+}
+
+// Classes that are copies of one ladder: every option ties with its copies
+// in value, weight and reduced value, and the first-minimum tie-break alone
+// decides between them.
+TEST(OrchestratorEquivalence, ReductionMatchesReferenceOnIdenticalLadders) {
+  const DpMckpSolver dp;
+  const reference::RefDpSolver ref;
+  MckpWorkspace workspace;
+  MckpResult result;
+  int skips = 0;
+  for (const int n_classes : {2, 5, 12}) {
+    for (const double priority : {1.0, 6.0}) {
+      MckpClass cls;
+      for (const auto& option : FineLadder(5)) {
+        cls.items.push_back(
+            MckpItem{option.bitrate.bps(), option.qoe * priority});
+      }
+      const std::vector<MckpClass> classes(static_cast<size_t>(n_classes),
+                                           cls);
+      for (int64_t kbps = 100; kbps <= 12000; kbps += 700) {
+        SCOPED_TRACE(testing::Message() << n_classes << " classes x"
+                                        << priority << ", " << kbps << " kbps");
+        ExpectDpMatchesReference(dp, ref, classes, kbps * 1000, &workspace,
+                                 &result);
+        skips += SkipsEliminated(classes, workspace);
+      }
+      if (n_classes > 5) continue;  // the reference is slow on wide grids
+      SCOPED_TRACE(testing::Message() << n_classes << " classes x" << priority);
+      ExpectDpMatchesReferenceAtBreakpoints(dp, ref, classes, &workspace,
+                                            &result);
+    }
+  }
+  EXPECT_GT(skips, 0);
+}
+
+// Classes of large, efficient items next to classes of small, inefficient
+// ones: once a large step no longer fits, small steps behind it still do,
+// so the continued greedy's floor L rises above Dantzig's.
+TEST(OrchestratorEquivalence, ReductionMatchesReferenceAboveDantzigsFloor) {
+  Rng rng(108);
+  const DpMckpSolver dp;
+  const reference::RefDpSolver ref;
+  MckpWorkspace workspace;
+  MckpResult result;
+  int raised = 0;
+  int skips = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<MckpClass> classes(static_cast<size_t>(rng.UniformInt(3, 8)));
+    for (auto& cls : classes) {
+      const bool large = rng.Bernoulli(0.5);
+      const int n_items = static_cast<int>(rng.UniformInt(1, 4));
+      for (int j = 0; j < n_items; ++j) {
+        cls.items.push_back(
+            large ? MckpItem{rng.UniformInt(500'000, 2'000'000),
+                             static_cast<double>(rng.UniformInt(500, 1500))}
+                  : MckpItem{rng.UniformInt(10'000, 100'000),
+                             static_cast<double>(rng.UniformInt(5, 40))});
+      }
+    }
+    const int64_t capacity = rng.UniformInt(200'000, 3'000'000);
+    SCOPED_TRACE(testing::Message()
+                 << "trial " << trial << ", capacity " << capacity);
+    ExpectDpMatchesReference(dp, ref, classes, capacity, &workspace, &result);
+    // Integral values and quantum 1: the total is the quantized optimum.
+    const int64_t dantzig = DantzigFloor(classes, capacity);
+    EXPECT_GE(workspace.band_lower, dantzig);
+    EXPECT_LE(workspace.band_lower, static_cast<int64_t>(result.total_value));
+    if (workspace.band_lower > dantzig) ++raised;
+    skips += SkipsEliminated(classes, workspace);
+  }
+  EXPECT_GE(raised, 20);
+  EXPECT_GT(skips, 0);
+}
+
+// A capacity that holds every class's heaviest item: every hull step fits,
+// lambda = 0, and the reduced value of an option is its value, so only each
+// class's most valuable survivor (or a tie) may remain.
+TEST(OrchestratorEquivalence, ReductionMatchesReferenceWhenEverythingFits) {
+  Rng rng(109);
+  const DpMckpSolver dp;
+  const reference::RefDpSolver ref;
+  MckpWorkspace workspace;
+  MckpResult result;
+  int skips = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    auto classes = RandomClasses(rng, static_cast<int>(rng.UniformInt(1, 8)),
+                                 6, 1500, 0, 2'000'000);
+    // Ties in value at different weights, and a class worth nothing.
+    if (rng.Bernoulli(0.5)) {
+      classes.front().items.push_back(classes.front().items.front());
+      classes.front().items.back().weight += 1;
+    }
+    if (rng.Bernoulli(0.3)) classes.push_back(MckpClass{{{1'000, 0.0}}, false});
+    for (const int64_t capacity :
+         {EligibleWeightSum(classes, int64_t{1} << 40),
+          EligibleWeightSum(classes, int64_t{1} << 40) + 1, int64_t{1} << 40}) {
+      SCOPED_TRACE(testing::Message()
+                   << "trial " << trial << ", capacity " << capacity);
+      ExpectDpMatchesReference(dp, ref, classes, capacity, &workspace,
+                               &result);
+      EXPECT_EQ(workspace.lambda_p, 0);
+      EXPECT_EQ(workspace.lambda_q, 1);
+      skips += SkipsEliminated(classes, workspace);
+    }
+  }
+  EXPECT_GT(skips, 0);
+}
+
+// Items the pruning drops before the reduction ever sees them (over the
+// capacity, negative value or weight) next to weight-0 items, which are
+// worth their value at any lambda.
+TEST(OrchestratorEquivalence, ReductionMatchesReferenceWithIneligibleItems) {
+  Rng rng(110);
+  const DpMckpSolver dp;
+  const reference::RefDpSolver ref;
+  MckpWorkspace workspace;
+  MckpResult result;
+  int skips = 0;
+  for (int trial = 0; trial < 80; ++trial) {
+    auto classes = RandomClasses(rng, static_cast<int>(rng.UniformInt(1, 7)),
+                                 6, 1500, 1'000, 1'500'000);
+    for (auto& cls : classes) {
+      for (auto& item : cls.items) {
+        const int64_t kind = rng.UniformInt(0, 9);
+        if (kind == 0) item.weight = 0;
+        if (kind == 1) item.weight = 50'000'000;  // over every capacity
+        if (kind == 2) item.value = -item.value;
+        if (kind == 3) item.weight = -item.weight;
+      }
+    }
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    std::vector<int64_t> capacities = {0};
+    for (const int64_t b : LpBreakpoints(classes)) {
+      capacities.insert(capacities.end(), {b - 1, b, b + 1});
+    }
+    for (const int64_t capacity : capacities) {
+      SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+      ExpectDpMatchesReference(dp, ref, classes, capacity, &workspace,
+                               &result);
+      skips += SkipsEliminated(classes, workspace);
+    }
+  }
+  EXPECT_GT(skips, 0);
+}
+
+// int64_t cells: capacities at and above 2^30 and the infinite downlink,
+// where p * capacity and q * L need __int128.
+TEST(OrchestratorEquivalence, ReductionMatchesReferenceOnWideCells) {
+  constexpr int64_t kSwitch = int64_t{1} << 30;
+  const int64_t kInfiniteDownlink = std::numeric_limits<int64_t>::max() / 4;
+  Rng rng(111);
+  const DpMckpSolver dp;
+  const reference::RefDpSolver ref;
+  MckpWorkspace workspace;
+  MckpResult result;
+  int skips = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto classes =
+        RandomClasses(rng, static_cast<int>(rng.UniformInt(3, 8)), 8, 1500,
+                      kSwitch / 4, 2 * kSwitch);
+    for (const int64_t capacity :
+         {kSwitch, kSwitch + 1, 3 * kSwitch, 5 * kSwitch, kInfiniteDownlink}) {
+      SCOPED_TRACE(testing::Message()
+                   << "trial " << trial << ", capacity " << capacity);
+      ExpectDpMatchesReference(dp, ref, classes, capacity, &workspace,
+                               &result);
+      skips += SkipsEliminated(classes, workspace);
+    }
+  }
+  EXPECT_GT(skips, 0);
+}
+
+// A rescaled quantum: many items share a cell, so reduced values tie often.
+TEST(OrchestratorEquivalence, ReductionMatchesReferenceUnderCoarseQuantum) {
+  Rng rng(112);
+  int skips = 0;
+  for (const int64_t max_cells : {8, 24, 200}) {
+    const DpMckpSolver dp(max_cells);
+    const reference::RefDpSolver ref(1.0, max_cells);
+    MckpWorkspace workspace;
+    MckpResult result;
+    for (int trial = 0; trial < 40; ++trial) {
+      SCOPED_TRACE(testing::Message()
+                   << "max_cells " << max_cells << ", trial " << trial);
+      const auto classes =
+          RandomClasses(rng, static_cast<int>(rng.UniformInt(2, 8)), 6, 2000,
+                        10'000, 2'000'000);
+      for (const int64_t b : LpBreakpoints(classes, 1.0, max_cells)) {
+        for (const int64_t capacity : {b - 1, b, b + 1}) {
+          SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+          ExpectDpMatchesReference(dp, ref, classes, capacity, &workspace,
+                                   &result);
+          skips += SkipsEliminated(classes, workspace);
+        }
+      }
+    }
+  }
+  EXPECT_GT(skips, 0);
+}
+
+// Values m * q0 whose sum, rescaled to max_cells = sum of m, rounds to one
+// cell less than the sum of the rescaled items: with every item taken, L
+// lies above the grid, so the floor (and with it the reduction) is dropped.
+TEST(OrchestratorEquivalence, BandFloorResetsWhenLExceedsTheGrid) {
+  struct Case {
+    double q0;
+    std::vector<int> units;
+  };
+  const Case cases[] = {{16.423128466616717, {35, 4, 40}},
+                        {33.93492367395075, {57, 17, 4, 47}}};
+  for (const Case& c : cases) {
+    std::vector<MckpClass> classes;
+    int64_t max_cells = 0;
+    for (const int units : c.units) {
+      const double value = units * c.q0;
+      classes.push_back(MckpClass{{{100'000 * units, value},
+                                   {40'000 * units, value / 3}},
+                                  false});
+      max_cells += units;
+    }
+    const DpMckpSolver dp(max_cells);
+    const reference::RefDpSolver ref(1.0, max_cells);
+    MckpWorkspace workspace;
+    MckpResult result;
+    SCOPED_TRACE(testing::Message() << "max_cells " << max_cells);
+    ExpectDpMatchesReference(dp, ref, classes, int64_t{1} << 40, &workspace,
+                             &result);
+    EXPECT_EQ(workspace.band_lower, 0);
+    EXPECT_EQ(SkipsEliminated(classes, workspace), 0);
+    ExpectDpMatchesReferenceAtBreakpoints(dp, ref, classes, &workspace,
+                                          &result, 1.0, max_cells);
+  }
+}
+
+// Step-3 repair knapsacks, all mandatory: L = 0, so nothing is eliminated
+// and every band is [0, cells].
+TEST(OrchestratorEquivalence, ReductionLeavesMandatoryFixShapesAlone) {
+  Rng rng(113);
+  const DpMckpSolver dp;
+  const reference::RefDpSolver ref;
+  MckpWorkspace workspace;
+  MckpResult result;
+  const auto ladder = FineLadder(5);
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<MckpClass> classes;
+    int64_t total = 0;
+    const int n_streams = static_cast<int>(rng.UniformInt(1, 6));
+    for (int k = 0; k < n_streams; ++k) {
+      const StreamOption& current = ladder[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(ladder.size()) - 1))];
+      MckpClass cls;
+      cls.mandatory = true;
+      for (const auto& option : ladder) {
+        if (!(option.resolution == current.resolution)) continue;
+        if (option.bitrate > current.bitrate) continue;
+        cls.items.push_back(MckpItem{option.bitrate.bps(), option.qoe});
+      }
+      total += current.bitrate.bps();
+      classes.push_back(cls);
+    }
+    const int64_t capacity = rng.UniformInt(0, total + 200'000);
+    SCOPED_TRACE(testing::Message()
+                 << "trial " << trial << ", capacity " << capacity);
+    ExpectDpMatchesReference(dp, ref, classes, capacity, &workspace, &result);
+    EXPECT_EQ(workspace.band_lower, 0);
+    for (size_t k = 0; k < classes.size(); ++k) {
+      EXPECT_EQ(workspace.min_vq[k], 0);
+      EXPECT_EQ(workspace.lo[k], 0);
+    }
   }
 }
 
