@@ -315,6 +315,7 @@ void RecordSolveTraces(obs::MetricsRegistry* registry,
         {"control.solve.step1_wall", "us", stats.step1_wall_us},
         {"control.solve.step2_wall", "us", stats.step2_wall_us},
         {"control.solve.step3_wall", "us", stats.step3_wall_us},
+        {"control.solve.assemble_wall", "us", stats.assemble_wall_us},
         {"control.solve.warm_diff_wall", "us", stats.warm_diff_wall_us},
         {"control.solve.wall", "us", stats.total_wall_us},
     };

@@ -17,17 +17,10 @@ namespace gso {
 template <typename Id>
 class DenseInterner {
  public:
-  // Builds the index set from `ids` (unsorted, duplicates allowed).
-  void Build(std::vector<Id> ids) {
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    ids_ = std::move(ids);
-  }
-
-  // Rebuild in place from a borrowed id list: same result as Build, but
-  // internal storage is reused, so rebuilding with an id set that fits the
-  // existing capacity performs no allocation (the warm re-solve path
-  // recompiles every control round).
+  // Rebuilds the index set in place from `ids` (unsorted, duplicates
+  // allowed). Internal storage is reused, so rebuilding with an id set that
+  // fits the existing capacity performs no allocation (the warm re-solve
+  // path recompiles every control round).
   void Rebuild(const std::vector<Id>& ids) {
     ids_.assign(ids.begin(), ids.end());
     std::sort(ids_.begin(), ids_.end());

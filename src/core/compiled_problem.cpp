@@ -11,18 +11,39 @@ CompiledProblem CompiledProblem::Compile(const OrchestrationProblem& problem) {
 }
 
 void CompiledProblem::CompileFrom(const OrchestrationProblem& problem) {
+  // Sources ascending by SourceId; duplicate capabilities overwrite
+  // (last-wins, as map assignment would).
+  {
+    auto& ids = scratch_source_ids_;
+    ids.clear();
+    ids.reserve(problem.capabilities.size());
+    for (const auto& c : problem.capabilities) ids.push_back(c.source);
+    source_index_.Rebuild(ids);
+  }
+
   // Intern every client id that can appear in a lookup. Indices ascend
-  // with ClientId, so index iteration == std::map iteration.
+  // with ClientId, so index iteration == std::map iteration. A subscriber
+  // is pushed once per run of equal subscribers, and an edge's source
+  // client only when the source is unknown: a known source's client is
+  // already pushed through its capability, so the interned set is the
+  // union of every budget, capability and edge client all the same. Each
+  // edge's source index is resolved here, once.
+  const auto& subscriptions = problem.subscriptions;
+  const size_t n_edges = subscriptions.size();
+  auto& edge_source = scratch_edge_source_;
+  edge_source.resize(n_edges);
   {
     auto& ids = scratch_client_ids_;
     ids.clear();
-    ids.reserve(problem.budgets.size() + problem.capabilities.size() +
-                2 * problem.subscriptions.size());
     for (const auto& b : problem.budgets) ids.push_back(b.client);
     for (const auto& c : problem.capabilities) ids.push_back(c.source.client);
-    for (const auto& s : problem.subscriptions) {
-      ids.push_back(s.subscriber);
-      ids.push_back(s.source.client);
+    for (size_t e = 0; e < n_edges; ++e) {
+      const Subscription& sub = subscriptions[e];
+      if (e == 0 || !(sub.subscriber == subscriptions[e - 1].subscriber)) {
+        ids.push_back(sub.subscriber);
+      }
+      edge_source[e] = source_index_.IndexOf(sub.source);
+      if (edge_source[e] < 0) ids.push_back(sub.source.client);
     }
     clients_.Rebuild(ids);
   }
@@ -38,15 +59,6 @@ void CompiledProblem::CompileFrom(const OrchestrationProblem& problem) {
     downlink_[static_cast<size_t>(idx)] = b.downlink;
   }
 
-  // Sources ascending by SourceId; duplicate capabilities overwrite
-  // (last-wins, as map assignment would).
-  {
-    auto& ids = scratch_source_ids_;
-    ids.clear();
-    ids.reserve(problem.capabilities.size());
-    for (const auto& c : problem.capabilities) ids.push_back(c.source);
-    source_index_.Rebuild(ids);
-  }
   sources_.resize(static_cast<size_t>(source_index_.size()));
   for (const auto& cap : problem.capabilities) {
     const int idx = source_index_.IndexOf(cap.source);
@@ -80,16 +92,27 @@ void CompiledProblem::CompileFrom(const OrchestrationProblem& problem) {
 
   // Group subscriptions per subscriber, dropping invalid edges (self-
   // subscriptions and edges to unknown sources), preserving problem order
-  // within each subscriber. Two passes (count, then place) keep the
-  // grouping allocation-free: a counting sort is stable, so within each
-  // subscriber the edges land in problem order, exactly as the per-client
-  // bucket build did.
+  // within each subscriber. Each edge's subscriber is resolved once per run
+  // of equal subscribers (-1 marks a dropped edge), and both passes below
+  // reuse it. Two passes (count, then place) keep the grouping
+  // allocation-free: a counting sort is stable, so within each subscriber
+  // the edges land in problem order, exactly as the per-client bucket
+  // build did.
+  auto& edge_client = scratch_edge_client_;
+  edge_client.resize(n_edges);
   auto& edge_count = scratch_edge_count_;
   edge_count.assign(n_clients, 0);
-  for (const auto& sub : problem.subscriptions) {
-    if (sub.subscriber == sub.source.client) continue;  // N_i excludes i
-    if (source_index_.IndexOf(sub.source) < 0) continue;  // unknown source
-    ++edge_count[static_cast<size_t>(clients_.IndexOf(sub.subscriber))];
+  int run_client = -1;
+  for (size_t e = 0; e < n_edges; ++e) {
+    const Subscription& sub = subscriptions[e];
+    if (e == 0 || !(sub.subscriber == subscriptions[e - 1].subscriber)) {
+      run_client = clients_.IndexOf(sub.subscriber);
+    }
+    // N_i excludes i, and an edge to an unknown source is dropped.
+    const bool valid =
+        !(sub.subscriber == sub.source.client) && edge_source[e] >= 0;
+    edge_client[e] = valid ? run_client : -1;
+    if (valid) ++edge_count[static_cast<size_t>(run_client)];
   }
   subscriber_ids_.clear();
   subscriber_client_.clear();
@@ -109,14 +132,12 @@ void CompiledProblem::CompileFrom(const OrchestrationProblem& problem) {
   subscriptions_.resize(total_edges);
   scratch_cursor_.assign(subscription_offset_.begin(),
                          subscription_offset_.end() - 1);
-  for (const auto& sub : problem.subscriptions) {
-    if (sub.subscriber == sub.source.client) continue;
-    const int source = source_index_.IndexOf(sub.source);
-    if (source < 0) continue;
-    const int sub_idx = sub_of_client[static_cast<size_t>(
-        clients_.IndexOf(sub.subscriber))];
+  for (size_t e = 0; e < n_edges; ++e) {
+    if (edge_client[e] < 0) continue;
+    const Subscription& sub = subscriptions[e];
+    const int sub_idx = sub_of_client[static_cast<size_t>(edge_client[e])];
     subscriptions_[scratch_cursor_[static_cast<size_t>(sub_idx)]++] =
-        CompiledSubscription{source, sub.max_resolution, sub.priority,
+        CompiledSubscription{edge_source[e], sub.max_resolution, sub.priority,
                              sub.slot, &sub};
   }
 

@@ -74,9 +74,9 @@ class CompiledProblem {
     return static_cast<int>(subscriber_ids_.size());
   }
   int total_merge_slots() const { return total_merge_slots_; }
-  int total_resolutions() const { return total_merge_slots_; }
 
-  const DenseInterner<ClientId>& clients() const { return clients_; }
+  // Interned client ids ascend with the dense index.
+  ClientId client_id(int client) const { return clients_.id(client); }
   const std::vector<CompiledSource>& sources() const { return sources_; }
 
   // Budgets by dense client index (PlusInfinity when unreported).
@@ -145,6 +145,9 @@ class CompiledProblem {
   // Grow-only compilation scratch (reused by CompileFrom).
   std::vector<ClientId> scratch_client_ids_;
   std::vector<SourceId> scratch_source_ids_;
+  std::vector<int> scratch_edge_source_;   // dense source per edge, or -1
+  std::vector<int> scratch_edge_client_;   // dense subscriber per kept edge,
+                                           // -1 for a dropped edge
   std::vector<int> scratch_edge_count_;    // valid edges per dense client
   std::vector<int> scratch_sub_of_client_; // dense client -> subscriber idx
   std::vector<size_t> scratch_cursor_;     // per-subscriber placement cursor

@@ -118,12 +118,21 @@ struct Orchestrator::Workspace {
 
   // ---- Persistent output (zero-alloc assembly) ----
   // The Solution returned by reference from every solve. Maps are updated
-  // in place: existing nodes are overwritten, stale keys erased via the
-  // sorted key-list diff below — in the steady state (same key set as the
+  // in place: existing nodes are overwritten, stale keys erased by the
+  // ordered walks below — in the steady state (same key set as the
   // previous solve) no map node is allocated or freed.
   Solution solution;
   std::vector<SourceId> cur_publish_keys;
-  std::vector<std::tuple<ClientId, int, SourceId>> cur_assign_keys;
+  // The final assignments, ascending by (subscriber, slot, source); equal
+  // keys keep request order, so the last of them is the one map
+  // assignment would have kept.
+  struct Assignment {
+    ClientId subscriber;
+    int slot = 0;
+    int source = 0;  // dense source index: ascends with SourceId
+    Solution::Assigned value;
+  };
+  std::vector<Assignment> assignments;
   // Recycled PublishedStream elements. When a source publishes fewer
   // streams than last solve, the trailing elements are moved here instead
   // of destroyed; when it publishes more, elements are moved back. Their
@@ -565,9 +574,10 @@ const Solution& Orchestrator::RunSolve(const CompiledProblem& compiled,
     if (reduce_client < 0) {
       stats.step3_wall_us += ElapsedUs(step3_start);
       // Every constraint satisfied: assemble the final solution into the
-      // persistent Solution. Map values are overwritten in place and the
-      // key lists collected here drive stale-entry cleanup below, so a
-      // steady-state re-solve allocates nothing.
+      // persistent Solution. Map values are overwritten in place and stale
+      // entries are erased by ordered walks, so a steady-state re-solve
+      // allocates nothing.
+      const auto assemble_start = SolveClock::now();
       ws.cur_publish_keys.clear();
       for (int s = 0; s < num_sources; ++s) {
         const CompiledSource& source = sources[static_cast<size_t>(s)];
@@ -618,10 +628,16 @@ const Solution& Orchestrator::RunSolve(const CompiledProblem& compiled,
         }
       }
 
-      ws.cur_assign_keys.clear();
+      // Collect the assignments in request order, which keeps the QoE
+      // accumulation order, and sort each subscriber's few entries by
+      // (slot, source). Subscribers already ascend, so the whole list is
+      // in map key order. The insertion sort is stable.
+      auto& assignments = ws.assignments;
+      assignments.clear();
       for (int sub = 0; sub < num_subscribers; ++sub) {
         const ClientId subscriber = compiled.subscriber_id(sub);
         const CompiledSubscription* edges = compiled.subscriptions_begin(sub);
+        const size_t first = assignments.size();
         for (const auto& req : ws.requests[static_cast<size_t>(sub)]) {
           const CompiledSubscription& edge =
               edges[static_cast<size_t>(req.k)];
@@ -633,40 +649,68 @@ const Solution& Orchestrator::RunSolve(const CompiledProblem& compiled,
           const MergeSlot& slot = ws.merged[static_cast<size_t>(
               source.slot_offset + r)];
           GSO_CHECK(slot.used);
-          solution.per_subscriber[{subscriber, edge.slot}][source.id] =
-              Solution::Assigned{req.option.resolution, slot.bitrate};
           solution.total_qoe += slot.qoe * edge.priority;
-          ws.cur_assign_keys.emplace_back(subscriber, edge.slot, source.id);
+          const Workspace::Assignment entry{
+              subscriber, edge.slot, edge.source,
+              Solution::Assigned{req.option.resolution, slot.bitrate}};
+          size_t at = assignments.size();
+          assignments.push_back(entry);
+          for (; at > first &&
+                 std::tie(entry.slot, entry.source) <
+                     std::tie(assignments[at - 1].slot,
+                              assignments[at - 1].source);
+               --at) {
+            assignments[at] = assignments[at - 1];
+          }
+          assignments[at] = entry;
         }
       }
-      // Sweep assignments that no longer exist (sorted key-list diff; the
-      // sort is in-place and the lookups allocate nothing).
-      std::sort(ws.cur_assign_keys.begin(), ws.cur_assign_keys.end());
-      for (auto outer = solution.per_subscriber.begin();
-           outer != solution.per_subscriber.end();) {
+      // One ordered walk of per_subscriber: overwrite the values of kept
+      // keys, insert new keys at their hint, erase the keys no assignment
+      // names any more.
+      auto& assigned = solution.per_subscriber;
+      auto outer = assigned.begin();
+      for (size_t i = 0; i < assignments.size();) {
+        const std::pair<ClientId, int> key{assignments[i].subscriber,
+                                           assignments[i].slot};
+        while (outer != assigned.end() && outer->first < key) {
+          outer = assigned.erase(outer);
+        }
+        if (outer == assigned.end() || key < outer->first) {
+          outer = assigned.emplace_hint(outer, key, decltype(outer->second){});
+        }
         auto& inner = outer->second;
-        for (auto it = inner.begin(); it != inner.end();) {
-          const auto key = std::make_tuple(outer->first.first,
-                                           outer->first.second, it->first);
-          if (std::binary_search(ws.cur_assign_keys.begin(),
-                                 ws.cur_assign_keys.end(), key)) {
-            ++it;
+        auto it = inner.begin();
+        for (; i < assignments.size() &&
+               assignments[i].subscriber == key.first &&
+               assignments[i].slot == key.second;
+             ++i) {
+          const Workspace::Assignment& entry = assignments[i];
+          if (i + 1 < assignments.size() &&
+              assignments[i + 1].subscriber == entry.subscriber &&
+              assignments[i + 1].slot == entry.slot &&
+              assignments[i + 1].source == entry.source) {
+            continue;  // a later request for the same key wins
+          }
+          const SourceId& id = sources[static_cast<size_t>(entry.source)].id;
+          while (it != inner.end() && it->first < id) it = inner.erase(it);
+          if (it != inner.end() && it->first == id) {
+            (it++)->second = entry.value;
           } else {
-            it = inner.erase(it);
+            inner.emplace_hint(it, id, entry.value);
           }
         }
-        if (inner.empty()) {
-          outer = solution.per_subscriber.erase(outer);
-        } else {
-          ++outer;
-        }
+        inner.erase(it, inner.end());
+        ++outer;
       }
+      assigned.erase(outer, assigned.end());
 
       solution.iterations = iteration;
       stats.knapsack_solves += ws.step1.mckp_solves;
       stats.step1_cache_hits += ws.step1.cache_hits;
       stats.dp_cells =
           ws.step1.mckp.cells_relaxed + ws.fix_mckp.cells_relaxed;
+      stats.assemble_wall_us = ElapsedUs(assemble_start);
       solution.stats = stats;
       solution.stats.total_wall_us = ElapsedUs(solve_start);
       return solution;

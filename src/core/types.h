@@ -145,7 +145,10 @@ struct SolveStats {
   double step1_wall_us = 0.0;    // per-subscriber knapsacks
   double step2_wall_us = 0.0;    // per-source merges
   double step3_wall_us = 0.0;    // uplink checks / fixes / reductions
-  double total_wall_us = 0.0;    // whole solve including compilation
+  double assemble_wall_us = 0.0;  // final publish + per_subscriber assembly
+  // Whole solve including compilation; the stage walls above are disjoint
+  // spans inside it, so their sum never exceeds it.
+  double total_wall_us = 0.0;
 };
 
 struct Solution {

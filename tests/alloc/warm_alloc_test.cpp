@@ -109,5 +109,53 @@ TEST(WarmAlloc, DeltaResolveIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(allocs, 0) << "steady-state delta re-solve allocated";
 }
 
+// The controller's steady state on a webinar: 10 publishers, 200
+// subscribers each watching every publisher, and one subscriber's reported
+// downlink moving. Compile, diff, the cache replays and the final
+// assembly's walk over ~2,000 per_subscriber entries all reuse storage.
+TEST(WarmAlloc, WebinarReportDeltaIsAllocationFreeAfterWarmup) {
+  if (!alloc::tracker_active()) {
+    GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+  }
+  const DpMckpSolver solver;
+  const Orchestrator orchestrator(&solver);
+  OrchestrationProblem problem;
+  const auto ladder = FineLadder(5);
+  for (uint32_t i = 1; i <= 200; ++i) {
+    problem.budgets.push_back({ClientId(i),
+                               DataRate::KilobitsPerSec(i <= 10 ? 5000 : 800),
+                               DataRate::KilobitsPerSec(1000 + 37 * i)});
+  }
+  for (uint32_t p = 1; p <= 10; ++p) {
+    problem.capabilities.push_back({{ClientId(p), SourceKind::kCamera}, ladder});
+  }
+  for (uint32_t s = 1; s <= 200; ++s) {
+    for (uint32_t p = 1; p <= 10; ++p) {
+      if (p == s) continue;
+      problem.subscriptions.push_back({ClientId(s),
+                                       {ClientId(p), SourceKind::kCamera},
+                                       kResolution720p,
+                                       1.0,
+                                       0});
+    }
+  }
+
+  const DataRate kA = DataRate::KilobitsPerSec(1200);
+  const DataRate kB = DataRate::KilobitsPerSec(6500);
+  for (int i = 0; i < 6; ++i) {
+    problem.budgets[57].downlink = i % 2 == 0 ? kA : kB;
+    (void)orchestrator.Solve(SolveRequest::Warm(problem));
+  }
+  const int64_t allocs = CountAllocations([&] {
+    for (int i = 0; i < 6; ++i) {
+      problem.budgets[57].downlink = i % 2 == 0 ? kA : kB;
+      const Solution& solution =
+          orchestrator.Solve(SolveRequest::Warm(problem));
+      EXPECT_EQ(solution.stats.dirty_subscribers, 1);
+    }
+  });
+  EXPECT_EQ(allocs, 0) << "steady-state webinar report delta allocated";
+}
+
 }  // namespace
 }  // namespace gso::core

@@ -386,6 +386,30 @@ TEST(OrchestratorEquivalence, WorkspaceReuseIsStateless) {
   }
 }
 
+// Multi-slot subscribers with edges out of (slot, source) order and
+// repeated keys, solved warm by one orchestrator across a delta stream
+// that empties slots and subscribers: its per_subscriber, updated in place
+// by the ordered walk, must equal the reference's map assignment, where
+// the last request for a key wins.
+TEST(OrchestratorEquivalence, MultiSlotDeltaStreamMatchesReference) {
+  DpMckpSolver dp;
+  const Orchestrator reused(&dp);
+  const reference::RefDpSolver ref_dp;
+  constexpr int kClients = 7;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    OrchestrationProblem problem = testutil::MultiSlotProblem(seed, kClients);
+    Rng rng(seed * 131 + 3);
+    for (int step = 0; step < 30; ++step) {
+      if (step > 0) testutil::ApplyMultiSlotDelta(problem, rng, kClients);
+      const Solution fast = reused.Solve(SolveRequest::Warm(problem));
+      const Solution ref = reference::Solve(problem, ref_dp, ref_dp);
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      ExpectBitIdentical(fast, ref, "multi-slot", seed);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
 // Dominance pruning + reach bounds + workspace reuse must leave the DP's
 // observable behaviour untouched: identical choice vectors, values, weights
 // and feasibility versus the seed DP on randomized instances (including

@@ -153,6 +153,76 @@ TEST(WarmSolve, MatchesColdAfterEveryDelta) {
   }
 }
 
+// Final assembly on multi-slot subscribers: edges out of (slot, source)
+// order, repeated (subscriber, slot, source) keys, and deltas that leave a
+// slot or a whole subscriber with no assignment. The cold reference is a
+// fresh orchestrator per step, which assembles per_subscriber into an
+// empty map, so an entry the warm orchestrator's walk failed to erase, or
+// a repeated key it resolved to the wrong request, shows up as a diff.
+TEST(WarmSolve, MultiSlotAssemblyMatchesFreshColdAfterEveryDelta) {
+  DpMckpSolver solver;
+  constexpr int kClients = 8;
+  int erased_keys = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    const Orchestrator warm(&solver);
+    OrchestrationProblem problem = testutil::MultiSlotProblem(seed, kClients);
+    Rng rng(seed * 31 + 7);
+    Solution previous;
+    for (int step = 0; step < 40; ++step) {
+      if (step > 0) testutil::ApplyMultiSlotDelta(problem, rng, kClients);
+      const Orchestrator cold(&solver);
+      const Solution expected = cold.Solve(SolveRequest::Cold(problem));
+      const Solution got = warm.Solve(SolveRequest::Warm(problem));
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      ExpectBitIdentical(got, expected, "multi-slot", seed);
+      if (testing::Test::HasFailure()) return;  // first divergence only
+      for (const auto& [key, sources] : previous.per_subscriber) {
+        if (!got.per_subscriber.count(key)) ++erased_keys;
+      }
+      previous = got;
+    }
+  }
+  // The stream did empty (subscriber, slot) entries that had existed.
+  EXPECT_GT(erased_keys, 0);
+}
+
+// The stage walls are disjoint spans of one solve, so they never add up
+// to more than its total wall, cold or warm, reducing or not.
+TEST(WarmSolve, StageWallsSumToAtMostTotalWall) {
+  DpMckpSolver solver;
+  const Orchestrator warm(&solver);
+  const Orchestrator cold(&solver);
+  OrchestrationProblem problem = RandomProblem({10, 4, 0.4, 0.6}, 5);
+  Rng rng(17);
+  uint32_t next_id = 20000;
+  int reducing = 0;
+  for (int step = 0; step < 40; ++step) {
+    if (step > 0) ApplyDelta(problem, rng, next_id, 4);
+    for (const bool use_warm : {false, true}) {
+      const SolveStats& stats =
+          (use_warm ? warm.Solve(SolveRequest::Warm(problem))
+                    : cold.Solve(SolveRequest::Cold(problem)))
+              .stats;
+      const double stages[] = {stats.compile_wall_us,
+                               stats.warm_diff_wall_us,
+                               stats.step1_wall_us,
+                               stats.step2_wall_us,
+                               stats.step3_wall_us,
+                               stats.assemble_wall_us};
+      double sum = 0.0;
+      for (const double stage : stages) {
+        EXPECT_GE(stage, 0.0);
+        sum += stage;
+      }
+      // Slack for the rounding of six double additions only.
+      EXPECT_LE(sum, stats.total_wall_us + 1e-9)
+          << "step " << step << (use_warm ? " warm" : " cold");
+      if (stats.reductions > 0) ++reducing;
+    }
+  }
+  EXPECT_GT(reducing, 0);
+}
+
 // A repeated identical snapshot is the cheapest possible warm solve: the
 // diff finds nothing dirty and every Step-1 knapsack is answered from the
 // cache (knapsack_solves counts only real MCKP runs, so it can only stem
