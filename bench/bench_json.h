@@ -1,7 +1,7 @@
 // The one writer of the BENCH_*.json documents that tools/perf_gate.py
 // compares against the committed baselines.
 //
-// A document is {label, host: {cpus, model}, rows: [...]}, one row per
+// A document is {label, host: {cpus, model, ...}, rows: [...]}, one row per
 // measured value: {name, metric, unit, value}, keyed by (name, metric).
 // Metrics read off the host clock are named wall_*; every other metric is
 // a virtual-time, count, byte or QoE figure, deterministic per build. A
@@ -42,6 +42,12 @@ class BenchJson {
     AddRaw(name, metric, unit, Quote(value));
   }
 
+  // One more string field of the `host` block, e.g. the vector ISA a
+  // dispatched kernel runs on.
+  void AddHostField(const std::string& key, const std::string& value) {
+    host_fields_ += ", " + Quote(key) + ": " + Quote(value);
+  }
+
   // Writes the document to `path`; false (reported on stderr) on failure.
   bool Write(const std::string& path) const {
     std::FILE* f = std::fopen(path.c_str(), "w");
@@ -50,9 +56,9 @@ class BenchJson {
       return false;
     }
     std::fprintf(f, "{\n  \"label\": %s,\n", Quote(label_).c_str());
-    std::fprintf(f, "  \"host\": {\"cpus\": %u, \"model\": %s},\n",
+    std::fprintf(f, "  \"host\": {\"cpus\": %u, \"model\": %s%s},\n",
                  std::thread::hardware_concurrency(),
-                 Quote(CpuModel()).c_str());
+                 Quote(CpuModel()).c_str(), host_fields_.c_str());
     std::fprintf(f, "  \"rows\": [\n");
     for (size_t i = 0; i < rows_.size(); ++i) {
       std::fprintf(f, "    %s%s\n", rows_[i].c_str(),
@@ -99,6 +105,7 @@ class BenchJson {
   }
 
   std::string label_;
+  std::string host_fields_;  // ", key: value" pairs after cpus and model
   std::vector<std::string> rows_;  // each row already formatted as JSON
 };
 

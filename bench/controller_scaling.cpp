@@ -12,7 +12,9 @@
 // kept batch (both read off the host clock), the solution's total_qoe and
 // iterations, which no optimization may change, and dp_cells, the DP cells
 // one solve relaxes: exact work that a regression cannot hide in host noise
-// (see BENCH_controller.json at the repo root and tools/perf_gate.py).
+// (see BENCH_controller.json at the repo root and tools/perf_gate.py). The
+// document's host block names the vector ISA of the DP kernel build the
+// loader picked ("isa", DpMckpSolver::KernelIsa).
 //
 // With --trace-out=FILE it additionally dumps one observability trace per
 // shape (SolveStats work counts and per-step wall time as schema-locked
@@ -313,6 +315,7 @@ void RecordSolveTraces(obs::MetricsRegistry* registry,
         {"control.solve.dp_cells", "count", double(stats.dp_cells)},
         {"control.solve.compile_wall", "us", stats.compile_wall_us},
         {"control.solve.step1_wall", "us", stats.step1_wall_us},
+        {"control.solve.step1_mckp_wall", "us", stats.step1_mckp_wall_us},
         {"control.solve.step2_wall", "us", stats.step2_wall_us},
         {"control.solve.step3_wall", "us", stats.step3_wall_us},
         {"control.solve.assemble_wall", "us", stats.assemble_wall_us},
@@ -388,6 +391,9 @@ int main(int argc, char** argv) {
   }
 
   gso::bench::BenchJson json(label);
+  // Wall rows timed on different DP kernel builds are not like for like;
+  // tools/perf_gate.py notes a mismatch.
+  json.AddHostField("isa", DpMckpSolver::KernelIsa());
   for (const Row& row : rows) {
     json.Add(row.shape, "wall_ns_per_solve", "ns", row.ns_per_solve);
     json.Add(row.shape, "wall_timed_solves", "count", row.solves);

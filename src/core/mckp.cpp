@@ -6,6 +6,20 @@
 
 #include "common/logging.h"
 
+// Builds a function once per x86-64 vector ISA level and lets the dynamic
+// loader pick, through an ifunc resolver, the widest build the CPU
+// supports. The levels and their feature test need GCC 12; other compilers
+// and targets build the one baseline body.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    __GNUC__ >= 12
+#define GSO_ISA_CLONES \
+  __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
+#define GSO_ISA_CLONES_ENABLED 1
+#else
+#define GSO_ISA_CLONES
+#define GSO_ISA_CLONES_ENABLED 0
+#endif
+
 namespace gso::core {
 namespace {
 
@@ -216,11 +230,13 @@ void EliminateByReducedCost(std::span<const MckpClass> classes,
 // Relaxes item `item` (weight `weight`) over n cells: dst[i] and row[i]
 // are the target cell and its choice entry, src[i] the cell one item-value
 // below. Branchless, so the loop vectorizes; fixed-size blocks give GCC a
-// constant trip count to vectorize at -O2 as well as -O3.
+// constant trip count to vectorize at -O2 as well as -O3. GSO_ISA_CLONES
+// builds it once per vector ISA level (see DpMckpSolver): integer-only, so
+// every build computes the same cells.
 template <typename Cell>
-void RelaxItem(const Cell* __restrict src, Cell* __restrict dst,
-               int16_t* __restrict row, int64_t n, Cell weight, Cell cap,
-               int16_t item) {
+GSO_ISA_CLONES void RelaxItem(const Cell* __restrict src,
+                              Cell* __restrict dst, int16_t* __restrict row,
+                              int64_t n, Cell weight, Cell cap, int16_t item) {
   constexpr int64_t kBlock = 16;
   int64_t i = 0;
   for (; i + kBlock <= n; i += kBlock) {
@@ -332,6 +348,16 @@ int64_t RunPasses(std::span<const MckpClass> classes, Cell cap, size_t width,
 }
 
 }  // namespace
+
+const char* DpMckpSolver::KernelIsa() {
+#if GSO_ISA_CLONES_ENABLED
+  // The resolver's own tests, in its order.
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("x86-64-v4")) return "x86-64-v4";
+  if (__builtin_cpu_supports("avx2")) return "avx2";
+#endif
+  return "baseline";
+}
 
 MckpResult MckpSolver::Solve(std::span<const MckpClass> classes,
                              int64_t capacity,

@@ -200,8 +200,13 @@ class MckpSolver {
 //   cand = dp[v - vq_j] + w_j;  take = cand <= cap_eff && cand < next[v];
 //   next[v] = take ? cand : next[v];  row[v] = take ? j : row[v].
 // The pass has no branches (an unreachable base fails the capacity test on
-// its own), so GCC vectorizes it at the baseline x86-64 ISA for 32-bit
-// cells; the strict `<` keeps the first minimum, as the backtrack expects.
+// its own), so it vectorizes; the strict `<` keeps the first minimum, as
+// the backtrack expects. On x86-64 with GCC 12 or later the kernel is
+// built three times from one source, for x86-64-v4 (256-bit vectors with
+// AVX-512 mask registers), AVX2 and the baseline ISA (SSE2), and the
+// dynamic loader binds the widest build the CPU supports (KernelIsa()).
+// The kernel is integer-only and every build tries each cell's options in
+// the same order, so all three return the same choices and cell counts.
 // `reach` is updated after the pass, from the highest cell the class row
 // recorded a choice for.
 class DpMckpSolver : public MckpSolver {
@@ -211,6 +216,10 @@ class DpMckpSolver : public MckpSolver {
   using MckpSolver::Solve;
   void Solve(std::span<const MckpClass> classes, int64_t capacity,
              MckpWorkspace* workspace, MckpResult* result) const override;
+
+  // The vector ISA level of the class-pass build the loader picked on this
+  // CPU: "x86-64-v4", "avx2" or "baseline".
+  static const char* KernelIsa();
 
  private:
   int64_t max_cells_;

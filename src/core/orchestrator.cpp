@@ -13,7 +13,6 @@
 #include "common/logging.h"
 
 namespace gso::core {
-namespace {
 
 // Step-1 result for one subscription edge: the edge's index within the
 // subscriber's run plus the chosen option. The option is copied (not
@@ -25,6 +24,8 @@ struct Step1Request {
   int k = 0;  // index into the subscriber's subscription run
   StreamOption option;
 };
+
+namespace {
 
 // One (source, resolution) merge slot: the minimum requested bitrate and
 // the receivers that asked for this resolution.
@@ -47,6 +48,7 @@ struct Step1Scratch {
   // Per-solve trace counters.
   int cache_hits = 0;
   int mckp_solves = 0;
+  double mckp_wall_us = 0.0;  // inside SolveSubscriberMckp
 };
 
 // Cached Step-1 results for one subscriber. `full` is the result with no
@@ -90,8 +92,11 @@ struct Orchestrator::Workspace {
   // the mask ambiguous — watchers of such a source bypass the cache.
   std::vector<uint64_t> removed_mask;
   std::vector<uint8_t> mask_overflow;
-  // Step-1 cache: requests per subscriber, recomputed only when dirty.
-  std::vector<std::vector<Step1Request>> requests;
+  // Step-1 result per subscriber, recomputed only when dirty: a view of its
+  // warm cache entry (`full` or `red`) or, when no entry holds it, of its
+  // `solved` buffer, so a cache hit copies nothing.
+  std::vector<std::span<const Step1Request>> requests;
+  std::vector<std::vector<Step1Request>> solved;
   std::vector<uint8_t> dirty;  // per subscriber
   std::vector<MergeSlot> merged;
   // Per client: published (source, merge slot) pairs this iteration.
@@ -292,8 +297,10 @@ int Orchestrator::PrepareWarmCaches(int next) const {
   return dirty;
 }
 
-void Orchestrator::SolveSubscriberMckp(const CompiledProblem& compiled,
-                                       int subscriber) const {
+void Orchestrator::SolveSubscriberMckp(
+    const CompiledProblem& compiled, int subscriber,
+    std::vector<Step1Request>* requests) const {
+  const auto start = SolveClock::now();
   Workspace& ws = *ws_;
   Step1Scratch& scratch = ws.step1;
   const CompiledSubscription* edges = compiled.subscriptions_begin(subscriber);
@@ -329,24 +336,26 @@ void Orchestrator::SolveSubscriberMckp(const CompiledProblem& compiled,
                        &scratch.mckp, &scratch.result);
   ++scratch.mckp_solves;
 
-  auto& requests = ws.requests[static_cast<size_t>(subscriber)];
-  requests.clear();
+  requests->clear();
   for (size_t k = 0; k < n; ++k) {
     if (scratch.result.choice[k] < 0) continue;
     const int option_index = scratch.class_options[k][static_cast<size_t>(
         scratch.result.choice[k])];
-    requests.push_back(Step1Request{
+    requests->push_back(Step1Request{
         static_cast<int>(k), ws.active[static_cast<size_t>(edges[k].source)]
                                       [static_cast<size_t>(option_index)]});
   }
+  ws.requests[static_cast<size_t>(subscriber)] = *requests;
+  scratch.mckp_wall_us += ElapsedUs(start);
 }
 
 void Orchestrator::Step1ForSubscriber(const CompiledProblem& compiled,
                                       int subscriber,
                                       bool use_cache) const {
   Workspace& ws = *ws_;
+  auto& solved = ws.solved[static_cast<size_t>(subscriber)];
   if (!use_cache) {
-    SolveSubscriberMckp(compiled, subscriber);
+    SolveSubscriberMckp(compiled, subscriber, &solved);
     return;
   }
 
@@ -382,11 +391,11 @@ void Orchestrator::Step1ForSubscriber(const CompiledProblem& compiled,
     }
   }
 
-  SolveSubscriberMckp(compiled, subscriber);
-  if (!cacheable) return;
-  const auto& requests = ws.requests[static_cast<size_t>(subscriber)];
-  if (all_zero) {
-    cache.full = requests;
+  // A miss solves straight into the entry it refills.
+  if (!cacheable) {
+    SolveSubscriberMckp(compiled, subscriber, &solved);
+  } else if (all_zero) {
+    SolveSubscriberMckp(compiled, subscriber, &cache.full);
     cache.full_valid = true;
   } else {
     cache.red_key.clear();
@@ -394,7 +403,7 @@ void Orchestrator::Step1ForSubscriber(const CompiledProblem& compiled,
       cache.red_key.push_back(
           ws.removed_mask[static_cast<size_t>(edges[k].source)]);
     }
-    cache.red = requests;
+    SolveSubscriberMckp(compiled, subscriber, &cache.red);
     cache.red_valid = true;
   }
 }
@@ -416,7 +425,9 @@ const Solution& Orchestrator::RunSolve(const CompiledProblem& compiled,
   ws.removed_mask.assign(static_cast<size_t>(num_sources), 0);
   ws.mask_overflow.assign(static_cast<size_t>(num_sources), 0);
   ws.requests.resize(static_cast<size_t>(num_subscribers));
-  for (auto& requests : ws.requests) requests.clear();
+  if (ws.solved.size() < static_cast<size_t>(num_subscribers)) {
+    ws.solved.resize(static_cast<size_t>(num_subscribers));
+  }
   ws.dirty.assign(static_cast<size_t>(num_subscribers), 1);
   ws.merged.resize(static_cast<size_t>(compiled.total_merge_slots()));
   ws.per_publisher.resize(static_cast<size_t>(compiled.num_clients()));
@@ -424,6 +435,7 @@ const Solution& Orchestrator::RunSolve(const CompiledProblem& compiled,
   ws.used_publishers.clear();
   ws.step1.cache_hits = 0;
   ws.step1.mckp_solves = 0;
+  ws.step1.mckp_wall_us = 0.0;
   ws.step1.mckp.cells_relaxed = 0;
   ws.fix_mckp.cells_relaxed = 0;
 
@@ -708,6 +720,7 @@ const Solution& Orchestrator::RunSolve(const CompiledProblem& compiled,
       solution.iterations = iteration;
       stats.knapsack_solves += ws.step1.mckp_solves;
       stats.step1_cache_hits += ws.step1.cache_hits;
+      stats.step1_mckp_wall_us = ws.step1.mckp_wall_us;
       stats.dp_cells =
           ws.step1.mckp.cells_relaxed + ws.fix_mckp.cells_relaxed;
       stats.assemble_wall_us = ElapsedUs(assemble_start);

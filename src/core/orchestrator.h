@@ -46,6 +46,8 @@
 
 namespace gso::core {
 
+struct Step1Request;  // one subscription's Step-1 choice (orchestrator.cpp)
+
 // The single argument of Orchestrator::Solve; the orchestrator picks the
 // execution strategy from the request:
 //  - Cold(problem): compile from scratch, solve everything.
@@ -106,8 +108,10 @@ class Orchestrator {
                            bool use_cache) const;
   void Step1ForSubscriber(const CompiledProblem& compiled, int subscriber,
                           bool use_cache) const;
-  void SolveSubscriberMckp(const CompiledProblem& compiled,
-                           int subscriber) const;
+  // Solves one subscriber's knapsack into `*requests` and points its
+  // Step-1 view there.
+  void SolveSubscriberMckp(const CompiledProblem& compiled, int subscriber,
+                           std::vector<Step1Request>* requests) const;
   // Diffs the previous warm snapshot against warm_compiled[next],
   // invalidating caches whose inputs changed; returns the dirty count.
   int PrepareWarmCaches(int next) const;

@@ -142,7 +142,10 @@ struct SolveStats {
   int64_t dp_cells = 0;
   double compile_wall_us = 0.0;  // problem -> dense-index compilation
   double warm_diff_wall_us = 0.0;  // old-vs-new diff on the warm path
-  double step1_wall_us = 0.0;    // per-subscriber knapsacks
+  double step1_wall_us = 0.0;    // per-subscriber knapsacks and replays
+  // The part of step1_wall_us spent solving knapsacks; the rest replays
+  // cached results and probes the cache.
+  double step1_mckp_wall_us = 0.0;
   double step2_wall_us = 0.0;    // per-source merges
   double step3_wall_us = 0.0;    // uplink checks / fixes / reductions
   double assemble_wall_us = 0.0;  // final publish + per_subscriber assembly

@@ -1237,5 +1237,66 @@ TEST(OrchestratorEquivalence, ReductionLeavesMandatoryFixShapesAlone) {
   }
 }
 
+// The class pass relaxes each item's cells in blocks of 16 (RelaxItem's
+// kBlock), then the rest one by one. Grids of 1 to 2 * 16 + 1 cells give
+// item passes of every length in that range, so both loops run with every
+// remainder. Small integer weights and values make ties common, and a tie
+// must keep the first minimum. Each instance is solved on int32_t cells
+// and, with its weights and capacity scaled by 2^30, on int64_t cells: the
+// scale moves no comparison, so both widths must agree with the reference
+// and relax the same cells.
+TEST(OrchestratorEquivalence, ClassPassMatchesReferenceAtEveryBlockRemainder) {
+  constexpr int64_t kBlock = 16;
+  constexpr int64_t kScale = int64_t{1} << 30;
+  Rng rng(128);
+  MckpWorkspace narrow_ws;
+  MckpWorkspace wide_ws;
+  MckpResult narrow;
+  MckpResult wide;
+  int wide_solves = 0;
+  for (int64_t cells = 1; cells <= 2 * kBlock + 1; ++cells) {
+    const DpMckpSolver dp(cells);
+    const reference::RefDpSolver ref(1.0, cells);
+    for (int trial = 0; trial < 60; ++trial) {
+      SCOPED_TRACE(testing::Message()
+                   << cells << " cells, trial " << trial);
+      std::vector<MckpClass> classes(
+          static_cast<size_t>(rng.UniformInt(1, 4)));
+      for (auto& cls : classes) {
+        cls.mandatory = rng.Bernoulli(0.15);
+        const int n_items = static_cast<int>(rng.UniformInt(1, 6));
+        for (int j = 0; j < n_items; ++j) {
+          cls.items.push_back(MckpItem{
+              rng.UniformInt(0, 6),
+              static_cast<double>(rng.UniformInt(0, cells))});
+        }
+      }
+      const int64_t capacity = rng.UniformInt(0, 14);
+      narrow_ws.cells_relaxed = 0;
+      ExpectDpMatchesReference(dp, ref, classes, capacity, &narrow_ws,
+                               &narrow);
+
+      std::vector<MckpClass> scaled = classes;
+      for (auto& cls : scaled) {
+        for (auto& item : cls.items) item.weight *= kScale;
+      }
+      if (std::min(capacity * kScale,
+                   EligibleWeightSum(scaled, capacity * kScale)) >= kScale) {
+        ++wide_solves;
+      }
+      wide_ws.cells_relaxed = 0;
+      ExpectDpMatchesReference(dp, ref, scaled, capacity * kScale, &wide_ws,
+                               &wide);
+      EXPECT_EQ(wide.feasible, narrow.feasible);
+      EXPECT_EQ(wide.choice, narrow.choice);
+      EXPECT_EQ(wide.total_value, narrow.total_value);
+      EXPECT_EQ(wide.total_weight, narrow.total_weight * kScale);
+      EXPECT_EQ(wide_ws.cells_relaxed, narrow_ws.cells_relaxed);
+    }
+  }
+  // Most scaled instances run on int64_t cells (cap_eff >= 2^30).
+  EXPECT_GT(wide_solves, 1000);
+}
+
 }  // namespace
 }  // namespace gso::core

@@ -217,6 +217,13 @@ TEST(WarmSolve, StageWallsSumToAtMostTotalWall) {
       // Slack for the rounding of six double additions only.
       EXPECT_LE(sum, stats.total_wall_us + 1e-9)
           << "step " << step << (use_warm ? " warm" : " cold");
+      // The knapsack time is a sub-span of Step 1.
+      EXPECT_GE(stats.step1_mckp_wall_us, 0.0);
+      EXPECT_LE(stats.step1_mckp_wall_us, stats.step1_wall_us + 1e-9)
+          << "step " << step << (use_warm ? " warm" : " cold");
+      if (!use_warm) {
+        EXPECT_GT(stats.step1_mckp_wall_us, 0.0);
+      }
       if (stats.reductions > 0) ++reducing;
     }
   }

@@ -41,6 +41,11 @@ in both and still trips. Each draw keeps its own host factor: taking each
 row's better value into one draw would also drag their median down and
 flag rows that drew the same twice.
 
+A document's host block may name the vector ISA its kernels ran on
+("isa", e.g. "avx2"). When the baseline's and the current run's differ, the
+gate prints a note: their wall_* rows time different builds of the same
+code, so a ratio there is not like for like. The note fails nothing.
+
 GSO_PERF_GATE=off skips the wall_* comparisons (say why in the change that
 needs it, and refresh the baseline there). It leaves every other
 comparison on.
@@ -107,6 +112,10 @@ def host(doc):
     return f"{h.get('cpus')} x {h.get('model')}"
 
 
+def isa(doc):
+    return doc.get("host", {}).get("isa", "unrecorded")
+
+
 def main(argv):
     paths, best_of = [], None
     for arg in argv[1:]:
@@ -152,6 +161,10 @@ def main(argv):
     print(f"perf_gate: {paths[0]}: {len(gated)} comparisons, host factor "
           f"{host_factor:.3f}{second}; host baseline {host(baseline_doc)}, "
           f"current {host(current_doc)}")
+    if isa(baseline_doc) != isa(current_doc):
+        print(f"perf_gate: note: the baseline ran on the {isa(baseline_doc)} "
+              f"kernel build, the current run on {isa(current_doc)}; their "
+              "wall_* rows are not like for like")
     if skipped:
         print(f"perf_gate: GSO_PERF_GATE=off: skipped {len(skipped)} "
               "wall_* comparisons")

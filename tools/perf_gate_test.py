@@ -143,6 +143,24 @@ class PerfGateTest(unittest.TestCase):
                            f"{flagged} wall_ns_per_solve")
         self.assertPasses(self.gate(base, first, best_of=second))
 
+    def test_isa_mismatch_is_noted_and_passes(self):
+        base = baseline("controller")
+        base["host"]["isa"] = "x86-64-v4"
+        current = run_of(base)
+        result = self.gate(base, current)
+        self.assertPasses(result)
+        self.assertNotIn("note:", result.stdout)
+        for other in ("baseline", None):
+            with self.subTest(isa=other):
+                if other is None:
+                    del current["host"]["isa"]
+                else:
+                    current["host"]["isa"] = other
+                result = self.gate(base, current)
+                self.assertPasses(result)
+                self.assertIn("perf_gate: note: the baseline ran on the "
+                              "x86-64-v4 kernel build", result.stdout)
+
     def test_changed_digest_fails(self):
         base = baseline("fleet")
         current = edit(run_of(base), lambda v: "0" * 16, "fleet_storm_200",
