@@ -616,7 +616,13 @@ const Solution& Orchestrator::RunSolve(const CompiledProblem& compiled,
           stream.bitrate = slot.bitrate;
           stream.qoe = slot.qoe;
           stream.receivers = slot.receivers;
-          std::sort(stream.receivers.begin(), stream.receivers.end());
+          // Step 2 appends receivers by ascending subscriber, so the list
+          // is usually sorted already; operator< is a total order on
+          // (subscriber, slot), so skipping the sort then changes nothing.
+          if (!std::is_sorted(stream.receivers.begin(),
+                              stream.receivers.end())) {
+            std::sort(stream.receivers.begin(), stream.receivers.end());
+          }
         }
         while (publish != nullptr && publish->size() > used) {
           ws.stream_pool.push_back(std::move(publish->back()));

@@ -25,33 +25,43 @@ void TrendlineEstimator::Update(Timestamp send_time, Timestamp arrival_time) {
   smoothed_delay_ms_ = kSmoothingCoef * smoothed_delay_ms_ +
                        (1 - kSmoothingCoef) * accumulated_delay_ms_;
 
-  window_.push_back(Sample{(arrival_time - first_arrival_).ms_f(),
-                           smoothed_delay_ms_});
-  if (window_.size() > kWindowSize) window_.pop_front();
+  const Sample sample{(arrival_time - first_arrival_).ms_f(),
+                      smoothed_delay_ms_};
+  if (window_count_ < kWindowSize) {
+    window_[window_count_++] = sample;  // the head stays 0 until full
+  } else {
+    window_[window_head_] = sample;  // replaces the oldest
+    window_head_ = (window_head_ + 1) % kWindowSize;
+  }
 
-  if (window_.size() == kWindowSize) {
+  if (window_count_ == kWindowSize) {
     trend_ = LinearFitSlope();
     Detect(trend_, arrival_delta, arrival_time);
   }
 }
 
 double TrendlineEstimator::LinearFitSlope() const {
-  // Least squares over (arrival time, smoothed delay).
+  // Least squares over (arrival time, smoothed delay), summed oldest to
+  // newest: [head, count), then [0, head) once the ring has wrapped.
+  auto for_each_sample = [&](auto&& fn) {
+    for (size_t i = window_head_; i < window_count_; ++i) fn(window_[i]);
+    for (size_t i = 0; i < window_head_; ++i) fn(window_[i]);
+  };
   double sum_x = 0;
   double sum_y = 0;
-  for (const auto& s : window_) {
+  for_each_sample([&](const Sample& s) {
     sum_x += s.arrival_ms;
     sum_y += s.smoothed_delay_ms;
-  }
-  const double n = static_cast<double>(window_.size());
+  });
+  const double n = static_cast<double>(window_count_);
   const double mean_x = sum_x / n;
   const double mean_y = sum_y / n;
   double numerator = 0;
   double denominator = 0;
-  for (const auto& s : window_) {
+  for_each_sample([&](const Sample& s) {
     numerator += (s.arrival_ms - mean_x) * (s.smoothed_delay_ms - mean_y);
     denominator += (s.arrival_ms - mean_x) * (s.arrival_ms - mean_x);
-  }
+  });
   return denominator > 1e-9 ? numerator / denominator : 0.0;
 }
 
@@ -59,7 +69,7 @@ void TrendlineEstimator::Detect(double trend, TimeDelta ts_delta,
                                 Timestamp now) {
   // Scale the raw slope the way GCC does so one threshold fits all rates.
   const double sample_count =
-      std::min<double>(static_cast<double>(window_.size()), 60.0);
+      std::min<double>(static_cast<double>(window_count_), 60.0);
   const double modified_trend =
       sample_count * trend * kThresholdGain;
 

@@ -9,7 +9,8 @@
 #ifndef GSO_TRANSPORT_TRENDLINE_ESTIMATOR_H_
 #define GSO_TRANSPORT_TRENDLINE_ESTIMATOR_H_
 
-#include <deque>
+#include <array>
+#include <cstddef>
 
 #include "common/units.h"
 
@@ -34,7 +35,7 @@ class TrendlineEstimator {
   void UpdateThreshold(double modified_trend, Timestamp now);
   double LinearFitSlope() const;
 
-  static constexpr int kWindowSize = 20;
+  static constexpr size_t kWindowSize = 20;
   static constexpr double kSmoothingCoef = 0.9;
   static constexpr double kThresholdGain = 4.0;
   static constexpr double kOverusingTimeThresholdMs = 10.0;
@@ -53,7 +54,10 @@ class TrendlineEstimator {
   Timestamp prev_arrival_;
   double accumulated_delay_ms_ = 0;
   double smoothed_delay_ms_ = 0;
-  std::deque<Sample> window_;
+  // The newest kWindowSize samples: a ring, oldest at window_head_.
+  std::array<Sample, kWindowSize> window_{};
+  size_t window_head_ = 0;
+  size_t window_count_ = 0;
 
   double trend_ = 0;
   double threshold_ = 12.5;

@@ -1,19 +1,21 @@
 // Allocation discipline of one forwarding hop: after warm-up, the event
-// loop's periodic tasks and owner churn, carrying a
-// packet across a link, sending RTP through an Egress, keeping sent-packet
-// history, caching packets for retransmission, logging arrivals for
-// transport feedback and assembling a frame's packets allocate nothing; an
-// RTCP compound costs at most its one datagram copy, and serializing an
-// RTP packet to a vector allocates that vector exactly once. The counting
-// operator new lives in warm_alloc_test.cpp for this binary.
+// loop's periodic tasks and owner churn, carrying a packet across a link,
+// sending RTP through an Egress, keeping sent-packet history, caching
+// packets for retransmission, logging arrivals for transport feedback,
+// assembling a frame's packets and tracking a stream's NACK state allocate
+// nothing; an RTCP compound costs at most its one datagram copy, and
+// serializing an RTP packet to a vector allocates that vector exactly once.
+// The counting operator new lives in warm_alloc_test.cpp for this binary.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "common/alloc_tracker.h"
 #include "common/rng.h"
+#include "common/sequence.h"
 #include "media/jitter_buffer.h"
 #include "media/rtx_cache.h"
 #include "net/rtcp_packets.h"
@@ -349,6 +351,57 @@ TEST(HopAlloc, JitterBufferFrameCostsNoAllocationPerPacket) {
     EXPECT_LE(allocations, 2) << "frame " << frame_id;
   }
   EXPECT_EQ(buffer.frames_decoded(), 20);
+}
+
+// A received stream's NACK state once warm: in-order arrivals with every
+// 20th sequence lost, two of three losses repaired two ticks later and the
+// third never (it is retried to its budget and then leaves the window).
+// Insert allocates nothing, and Collect only the vector it returns.
+TEST(HopAlloc, ReceiveWindowAllocatesNothingOnceWarm) {
+  if (!alloc::tracker_active()) {
+    GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+  }
+  ReceiveWindow window(/*max_attempts=*/4, /*max_batch=*/16);
+  uint16_t seq = 65000;  // wraps during the run
+  int losses = 0;
+  struct Repair {
+    uint16_t seq;
+    int due_tick;
+  };
+  std::array<Repair, 16> repairs{};
+  size_t pending = 0;
+  for (int tick = 0; tick < 1200; ++tick) {
+    const Timestamp now = Timestamp::Millis(10 * tick);
+    const int64_t insert_allocations = CountAllocations([&] {
+      for (int i = 0; i < 10; ++i, ++seq) {
+        if (seq % 20 != 0) {
+          window.Insert(seq);
+        } else if (++losses % 3 != 0) {
+          repairs[pending++] = {seq, tick + 2};
+        }
+      }
+      for (size_t i = 0; i < pending;) {
+        if (repairs[i].due_tick > tick) {
+          ++i;
+          continue;
+        }
+        window.Insert(repairs[i].seq);
+        repairs[i] = repairs[--pending];
+      }
+    });
+    std::vector<uint16_t> nacks;
+    const int64_t collect_allocations = CountAllocations(
+        [&] { nacks = window.Collect(now, /*floor=*/INT64_MIN); });
+    const int64_t returned_allocations = CountAllocations([&] {
+      std::vector<uint16_t> same;
+      for (uint16_t n : nacks) same.push_back(n);
+    });
+    if (tick >= 200) {
+      EXPECT_EQ(insert_allocations, 0) << "tick " << tick;
+      EXPECT_EQ(collect_allocations, returned_allocations) << "tick " << tick;
+    }
+  }
+  EXPECT_GT(window.retry_entries(), 0u);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Tests for wrapping sequence-number arithmetic and the NACK receive
-// window, including a differential test of ReceiveWindow against frozen
-// copies of the set/map NACK trackers it replaced.
+// window, including differential tests of ReceiveWindow against frozen
+// copies of the set/map NACK trackers and the tagged ring it replaced.
 #include "common/sequence.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 #include <vector>
@@ -101,6 +102,23 @@ TEST(ReceiveWindow, FloorBatchCapAndWindowEdge) {
   EXPECT_EQ(window.retry_entries(), 0u);
   EXPECT_EQ(window.Collect(Timestamp::Zero(), 398),
             (std::vector<uint16_t>{398, 399}));
+}
+
+// A forward jump of exactly the map's width re-enters every position, so
+// bits left by the sequences 256 below must not read as received.
+TEST(ReceiveWindow, JumpOfExactly256ForgetsEveryReceivedBit) {
+  ReceiveWindow window(6, 64);
+  for (uint16_t seq = 0; seq < 200; ++seq) window.Insert(seq);
+  window.Insert(455);
+  std::vector<uint16_t> expected(64);
+  for (int i = 0; i < 64; ++i) expected[i] = static_cast<uint16_t>(305 + i);
+  EXPECT_EQ(window.Collect(Timestamp::Zero(), INT64_MIN), expected);
+  window.Insert(711);  // 256 more, with the retries all below the window
+  EXPECT_EQ(window.retry_entries(), 0u);
+}
+
+TEST(ReceiveWindow, FootprintIsAtMost128Bytes) {
+  EXPECT_LE(sizeof(ReceiveWindow), 128u);
 }
 
 // --- Differential test against the set/map trackers ----------------------
@@ -318,6 +336,197 @@ TEST(ReceiveWindowDifferential, MatchesSfuSetMapLogicAndEntryCount) {
     }
   }
   EXPECT_GT(nacks_compared, 50000u);
+}
+
+// --- Differential test against the tagged ring ----------------------------
+//
+// Frozen copy of ReceiveWindow as it was before its state went into bits: a
+// 256-slot ring of 32-byte entries, each tagged with the unwrapped sequence
+// its received flag and its retry state describe.
+class TaggedRingWindow {
+ public:
+  static constexpr int64_t kNackWindow = 150;
+  static constexpr TimeDelta kRetryInterval = TimeDelta::Millis(50);
+
+  TaggedRingWindow(int max_attempts, size_t max_batch)
+      : max_attempts_(max_attempts), max_batch_(max_batch) {}
+
+  int64_t Insert(uint16_t sequence_number) {
+    const int64_t seq = unwrapper_.Unwrap(sequence_number);
+    lowest_ = std::min(lowest_, seq);
+    highest_ = std::max(highest_, seq);
+    Entry& entry = At(seq);
+    if (seq > highest_ - kSlots) entry.received = seq;
+    if (entry.nacked == seq) entry.nacked = kEmpty;
+    return seq;
+  }
+
+  std::vector<uint16_t> Collect(Timestamp now, int64_t floor) {
+    std::vector<uint16_t> nacks;
+    for (int64_t s = std::max({lowest_, floor, highest_ - kNackWindow});
+         s < highest_ && nacks.size() < max_batch_; ++s) {
+      Entry& entry = At(s);
+      if (entry.received == s) continue;
+      if (entry.nacked == s && (entry.attempts >= max_attempts_ ||
+                                now - entry.last_sent < kRetryInterval)) {
+        continue;
+      }
+      entry.attempts = entry.nacked == s ? entry.attempts + 1 : 1;
+      entry.nacked = s;
+      entry.last_sent = now;
+      nacks.push_back(static_cast<uint16_t>(s & 0xFFFF));
+    }
+    return nacks;
+  }
+
+  void ClearRetries() { for (Entry& e : ring_) e.nacked = kEmpty; }
+
+  size_t retry_entries() const {
+    return std::count_if(ring_.begin(), ring_.end(), [&](const Entry& e) {
+      return e.nacked >= highest_ - kNackWindow && e.nacked < highest_;
+    });
+  }
+
+  int64_t highest() const { return highest_; }
+
+ private:
+  static constexpr int64_t kSlots = 256;
+  static constexpr int64_t kEmpty = INT64_MIN;
+  struct Entry {
+    int64_t received = kEmpty;
+    int64_t nacked = kEmpty;
+    Timestamp last_sent;
+    int attempts = 0;
+  };
+  Entry& At(int64_t s) { return ring_[static_cast<size_t>(s & (kSlots - 1))]; }
+
+  SequenceUnwrapper unwrapper_;
+  std::array<Entry, kSlots> ring_;
+  int64_t highest_ = -1;
+  int64_t lowest_ = INT64_MAX;
+  int max_attempts_;
+  size_t max_batch_;
+};
+
+// What a seeded ring script exercised, summed over its seeds.
+struct RingScriptCoverage {
+  size_t nacks = 0;
+  size_t capped_collects = 0;  // returned exactly max_batch sequences
+  size_t jumps_of_256 = 0;
+  size_t jumps_past_half_range = 0;  // unwrap as a step backwards
+};
+
+// Drives both windows with one seeded script and compares every Collect,
+// and highest() and retry_entries() after every operation. Steps: in-order
+// arrivals with random loss, loss bursts longer than a batch, late arrivals
+// (many below the window), duplicates, forward jumps of 1-255, exactly 256,
+// 257-32767 and 32768-65535 sequences, retries cleared, and a floor that
+// stays at INT64_MIN or rises as the jitter buffer's does. The clock moves
+// by 0, 1, 10, 49, 50 or 51 ms per Collect, so retries land on both sides
+// of the interval's edge.
+void RunRingScript(uint64_t seed, int max_attempts, size_t max_batch,
+                   RingScriptCoverage* coverage) {
+  Rng rng(seed);
+  TaggedRingWindow ring(max_attempts, max_batch);
+  ReceiveWindow window(max_attempts, max_batch);
+  const bool rising_floor = seed % 2 == 0;
+  const double loss = 0.3 * rng.NextDouble();
+  uint16_t next = seed % 3 == 0
+                      ? static_cast<uint16_t>(rng.UniformInt(65300, 65535))
+                      : static_cast<uint16_t>(rng.UniformInt(0, 65535));
+  std::vector<uint16_t> missing;  // lost, may still arrive late
+  std::vector<uint16_t> recent;   // received, may arrive again
+  int64_t now_ms = 0;
+  int64_t floor = INT64_MIN;
+
+  auto insert = [&](uint16_t seq) {
+    ASSERT_EQ(window.Insert(seq), ring.Insert(seq));
+    recent.push_back(seq);
+    if (recent.size() > 32) recent.erase(recent.begin());
+  };
+  auto lose = [&](uint16_t seq) {
+    missing.push_back(seq);
+    if (missing.size() > 512) missing.erase(missing.begin());
+  };
+  for (int step = 0; step < 4000; ++step) {
+    const double r = rng.NextDouble();
+    if (r < 0.45) {
+      const uint16_t seq = next++;
+      if (rng.Bernoulli(loss)) {
+        lose(seq);
+      } else {
+        insert(seq);
+      }
+    } else if (r < 0.53) {
+      if (!missing.empty()) {
+        const size_t i = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(missing.size()) - 1));
+        insert(missing[i]);
+        missing.erase(missing.begin() + static_cast<ptrdiff_t>(i));
+      }
+    } else if (r < 0.57) {
+      if (!recent.empty()) {
+        insert(recent[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(recent.size()) - 1))]);
+      }
+    } else if (r < 0.60) {
+      const double k = rng.NextDouble();
+      int64_t jump;
+      if (k < 0.4) {
+        jump = rng.UniformInt(1, 255);
+      } else if (k < 0.55) {
+        jump = 256;
+        ++coverage->jumps_of_256;
+      } else if (k < 0.8) {
+        jump = rng.UniformInt(257, 32767);
+      } else {
+        jump = rng.UniformInt(32768, 65535);
+        ++coverage->jumps_past_half_range;
+      }
+      next = static_cast<uint16_t>(next + jump);
+      insert(next++);
+    } else if (r < 0.62) {
+      const int64_t burst = rng.UniformInt(20, 200);
+      for (int64_t i = 0; i < burst; ++i) lose(next++);
+    } else if (r < 0.63) {
+      ring.ClearRetries();
+      window.ClearRetries();
+      if (rising_floor) floor = ring.highest();  // the decoder gives up
+    } else {
+      static constexpr int64_t kSteps[] = {0, 1, 10, 49, 50, 51};
+      now_ms += kSteps[rng.UniformInt(0, 5)];
+      if (rising_floor && rng.Bernoulli(0.2)) {
+        floor = std::max(floor, ring.highest() - rng.UniformInt(-5, 300));
+      }
+      const int64_t collect_floor = rising_floor ? floor + 1 : INT64_MIN;
+      const Timestamp now = Timestamp::Millis(now_ms);
+      const auto expected = ring.Collect(now, collect_floor);
+      ASSERT_EQ(window.Collect(now, collect_floor), expected)
+          << "seed " << seed << " step " << step;
+      coverage->nacks += expected.size();
+      if (expected.size() == max_batch) ++coverage->capped_collects;
+    }
+    ASSERT_EQ(window.highest(), ring.highest())
+        << "seed " << seed << " step " << step;
+    ASSERT_EQ(window.retry_entries(), ring.retry_entries())
+        << "seed " << seed << " step " << step;
+  }
+}
+
+TEST(ReceiveWindowDifferential, MatchesFrozenRing) {
+  // The jitter buffer's and the SFU uplink's configurations.
+  for (const auto& [attempts, batch] :
+       {std::pair<int, size_t>{6, 64}, std::pair<int, size_t>{4, 16}}) {
+    RingScriptCoverage coverage;
+    for (uint64_t seed = 1; seed <= 64; ++seed) {
+      RunRingScript(seed, attempts, batch, &coverage);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_GT(coverage.nacks, 100000u);
+    EXPECT_GT(coverage.capped_collects, 1000u);
+    EXPECT_GT(coverage.jumps_of_256, 100u);
+    EXPECT_GT(coverage.jumps_past_half_range, 100u);
+  }
 }
 
 }  // namespace
