@@ -34,6 +34,10 @@ int64_t PlaybackInterval(Timestamp t) {
 // The uplink BWE and the pacer start here.
 constexpr DataRate kUplinkStartRate = DataRate::KilobitsPerSec(300);
 
+// Every client publishes one audio stream and encodes video as H.264. The
+// offer still states both: the node parses offers from their bytes.
+constexpr net::VideoCodec kVideoCodec = net::VideoCodec::kH264;
+
 // Padding SSRCs live outside the directory so nodes do not forward them
 // (reserved ranges: see AccessingNode::ControlSsrc).
 Ssrc PaddingSsrc(ClientId id) { return Ssrc(0x80000000u | id.value()); }
@@ -44,7 +48,13 @@ Client::Client(sim::EventLoop* loop, ClientConfig config, Rng rng)
     : loop_(loop),
       config_(std::move(config)),
       rng_(rng),
-      pacer_(loop, kUplinkStartRate),
+      pacer_(loop, kUplinkStartRate,
+             {.media = [this](const net::RtpPacket& p) { TransmitRtp(p); },
+              .probe =
+                  [this](int cluster_id) {
+                    cpu_.AddPacketProcessed();
+                    egress_.SendPadding(cluster_id);
+                  }}),
       egress_(loop, kUplinkStartRate, PaddingSsrc(config_.id)),
       template_policy_(config_.template_kind) {
   camera_encoder_ = std::make_unique<media::SimulatedEncoder>(
@@ -59,10 +69,10 @@ Client::Client(sim::EventLoop* loop, ClientConfig config, Rng rng)
 net::SessionDescription Client::BuildOffer() const {
   net::SessionDescription offer;
   offer.client = config_.id;
-  offer.has_audio = config_.has_audio;
+  offer.has_audio = true;
   offer.has_video = true;
   net::SimulcastInfo info;
-  info.codec = config_.codec;
+  info.codec = kVideoCodec;
   info.max_parallel_streams = static_cast<int>(config_.camera.layers.size());
   info.supports_fine_bitrate = config_.supports_fine_bitrate;
   for (const auto& layer : config_.camera.layers) {
@@ -84,7 +94,7 @@ void Client::ConfigureStreams(std::vector<Ssrc> camera_layer_ssrcs,
   camera_ssrcs_ = std::move(camera_layer_ssrcs);
   screen_ssrcs_ = std::move(screen_layer_ssrcs);
   audio_ssrc_ = audio_ssrc;
-  if (config_.has_audio) audio_.emplace(audio_ssrc_);
+  audio_.emplace(audio_ssrc_);
 }
 
 void Client::Start() {
@@ -147,7 +157,7 @@ void Client::OnCameraFrameTick() {
     const Ssrc ssrc = camera_ssrcs_[static_cast<size_t>(frame.layer_index)];
     for (auto& packet : packetizer_.Packetize(ssrc, frame)) {
       packet.payload_type = net::kVideoPayloadType;
-      SendRtp(std::move(packet), /*pace=*/true);
+      pacer_.Enqueue(packet);
     }
   }
   cpu_.AddEncodeCost(camera_encoder_->total_encode_cost() -
@@ -161,7 +171,7 @@ void Client::OnScreenFrameTick() {
     const Ssrc ssrc = screen_ssrcs_[static_cast<size_t>(frame.layer_index)];
     for (auto& packet : packetizer_.Packetize(ssrc, frame)) {
       packet.payload_type = net::kVideoPayloadType;
-      SendRtp(std::move(packet), /*pace=*/true);
+      pacer_.Enqueue(packet);
     }
   }
   cpu_.AddEncodeCost(screen_encoder_->total_encode_cost() -
@@ -184,18 +194,7 @@ void Client::OnAudioTick() {
       static_cast<uint32_t>(media::kAudioPayloadSize.bytes());
   packet.packets_in_frame = 1;
   // Audio bypasses the pacer: tiny and latency-critical.
-  SendRtp(std::move(packet), /*pace=*/false);
-}
-
-void Client::SendRtp(net::RtpPacket packet, bool pace) {
-  if (!pace) {
-    TransmitRtp(packet);
-    return;
-  }
-  pacer_.Enqueue(transport::Egress::WireSize(packet),
-                 [this, packet = std::move(packet)](std::optional<int>) {
-                   TransmitRtp(packet);
-                 });
+  TransmitRtp(packet);
 }
 
 void Client::TransmitRtp(const net::RtpPacket& packet) {
@@ -460,11 +459,7 @@ void Client::MaybeProbe() {
   const DataRate probe_rate =
       egress_.bwe().target_rate() * transport::kProbeRateFactor;
   pacer_.SendProbeCluster(cluster, probe_rate, transport::kProbePacketCount,
-                          DataSize::Bytes(transport::kProbePacketBytes),
-                          [this](std::optional<int> probe) {
-                            cpu_.AddPacketProcessed();
-                            egress_.SendPadding(*probe);
-                          });
+                          DataSize::Bytes(transport::kProbePacketBytes));
 }
 
 // --- Failure handling -------------------------------------------------

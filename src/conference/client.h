@@ -60,14 +60,12 @@ struct ClientConfig {
   media::EncoderConfig camera;
   // Optional screen-share source (second encoder).
   std::optional<media::EncoderConfig> screen;
-  bool has_audio = true;
   // Audio-only participation: the camera encoder never runs (used by the
   // Fig. 9 "audio conferencing" scenario).
   bool video_muted = false;
   // Bitrate levels per resolution advertised to the GSO controller.
   int gso_levels_per_resolution = 5;
   bool supports_fine_bitrate = true;
-  net::VideoCodec codec = net::VideoCodec::kH264;
   // Probing for the bandwidth upper bound (paper §7); disable to ablate.
   bool enable_probing = true;
   // GSO mode only: with no GTBR for this long, the client assumes the
@@ -249,7 +247,6 @@ class Client {
   void OnRtcpTick();
   void OnPolicyTick();
 
-  void SendRtp(net::RtpPacket packet, bool pace);
   void TransmitRtp(const net::RtpPacket& packet);
   void HandleRtcp(std::span<const uint8_t> data);
   void HandleRtp(const sim::Packet& packet);

@@ -253,7 +253,6 @@ void Conference::HandleNodeFailure(NodeId dead) {
 void Conference::SubscribeAllCameras(Resolution max_resolution) {
   for (const auto& [subscriber_id, _] : participants_) {
     std::vector<core::Subscription> subs;
-    std::vector<ClientId> interest;
     for (const auto& [publisher_id, __] : participants_) {
       if (publisher_id == subscriber_id) continue;
       subs.push_back({subscriber_id,
@@ -261,10 +260,8 @@ void Conference::SubscribeAllCameras(Resolution max_resolution) {
                       max_resolution,
                       1.0,
                       0});
-      interest.push_back(publisher_id);
     }
     SetSubscriptions(subscriber_id, std::move(subs));
-    (void)interest;
   }
 }
 

@@ -1,6 +1,7 @@
 // Allocation discipline of one forwarding hop: after warm-up, the event
 // loop's periodic tasks and owner churn, carrying a packet across a link,
-// sending RTP through an Egress, keeping sent-packet history, caching
+// sending RTP through an Egress, pacing it (at most a queue block per few
+// packets), keeping sent-packet history, caching
 // packets for retransmission, logging arrivals for transport feedback,
 // assembling a frame's packets and tracking a stream's NACK state allocate
 // nothing; an RTCP compound costs at most its one datagram copy, and
@@ -24,6 +25,7 @@
 #include "sim/link.h"
 #include "transport/egress.h"
 #include "transport/feedback_builder.h"
+#include "transport/pacer.h"
 #include "transport/packet_history.h"
 
 namespace gso {
@@ -199,6 +201,43 @@ TEST(HopAlloc, RtpSerializeAllocatesOnce) {
     EXPECT_EQ(bytes.size(), bytes.capacity());
     EXPECT_TRUE(net::RtpPacket::Parse(bytes).has_value());
   }
+}
+
+// The pacer queues the packets themselves and releases them through the
+// sink installed at construction, so pacing costs no closure per packet;
+// what remains is the queue's block churn, one block per several packets.
+TEST(HopAlloc, WarmPacerCostsLessThanAnAllocationPerFourPackets) {
+  if (!alloc::tracker_active()) {
+    GTEST_SKIP() << "allocation counting is disabled under sanitizers";
+  }
+  sim::EventLoop loop;
+  int64_t released = 0;
+  uint32_t payload_sum = 0;
+  transport::Pacer pacer(&loop, DataRate::KilobitsPerSec(2000),
+                         {.media =
+                              [&](const net::RtpPacket& p) {
+                                ++released;
+                                payload_sum += p.payload_size;
+                              },
+                          .probe = [](int) {}});
+  net::RtpPacket packet;
+  packet.ssrc = Ssrc(7);
+  packet.payload_size = 1100;
+  // A frame of 10 packets per round, drained before the next.
+  auto frames = [&](int count) {
+    for (int f = 0; f < count; ++f) {
+      for (int i = 0; i < 10; ++i) {
+        ++packet.sequence_number;
+        pacer.Enqueue(packet);
+      }
+      loop.RunAll();
+    }
+  };
+  frames(10);  // warm-up
+  const int64_t allocations = CountAllocations([&] { frames(100); });
+  EXPECT_EQ(released, 1100);
+  EXPECT_EQ(payload_sum, 1100u * 1100u);
+  EXPECT_LT(allocations, 250);
 }
 
 // Egress::SendRtp serializes straight into the datagram's inline bytes,
